@@ -47,10 +47,9 @@ struct CompileSpec
      * Execution tier the pipeline is being prepared for. kJit makes
      * compileSource also emit + compile each stage's native artifact
      * (the .so is cached alongside the pipeline, so service cache hits
-     * skip JIT codegen too). kAuto/kEngine/kInterp prepare nothing
-     * extra; the tier is resolved again at run time.
+     * skip JIT codegen too). kEngine prepares nothing extra.
      */
-    rt::TierMode tier = rt::TierMode::kAuto;
+    rt::TierMode tier = rt::TierMode::kEngine;
 };
 
 /**
@@ -80,7 +79,7 @@ struct CompiledPipeline
      */
     std::vector<rt::JitArtifactPtr> jit;
     /** Tier this pipeline was prepared for (CompileSpec::tier). */
-    rt::TierMode tier = rt::TierMode::kAuto;
+    rt::TierMode tier = rt::TierMode::kEngine;
     /** Wall time of frontend + passes + flatten, in nanoseconds. */
     double compileNs = 0.0;
     /**
@@ -123,12 +122,11 @@ struct RunSpec
     /** Optional stall-attribution tracer (must outlive the run). */
     trace::Tracer* tracer = nullptr;
     /**
-     * Stage execution tier (native backend only). kAuto defers to the
-     * PHLOEM_NATIVE_TIER / PHLOEM_NATIVE_ENGINE environment. When kJit
-     * and the pipeline was compiled with tier kJit, the cached
-     * artifacts are reused; otherwise the run compiles them on entry.
+     * Stage execution tier (native backend only). When kJit and the
+     * pipeline was compiled with tier kJit, the cached artifacts are
+     * reused; otherwise the run compiles them on entry.
      */
-    rt::TierMode tier = rt::TierMode::kAuto;
+    rt::TierMode tier = rt::TierMode::kEngine;
     /**
      * Request id threaded from the service (RuntimeOptions.requestId):
      * tags watchdog errors and trace metadata so service spans and

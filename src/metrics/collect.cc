@@ -227,7 +227,7 @@ nativeRunToMetrics(const std::string& name, const rt::NativeStats& stats)
     top.addCounter("enq_blocks", stats.totalEnqBlocks());
     top.addCounter("deq_blocks", stats.totalDeqBlocks());
     // Task-pool scheduling counters: only when the run actually ran on
-    // the shared pool, so sim/serial/legacy reports are unchanged.
+    // the pool, so sim and serial reports carry none.
     if (stats.sched.shared) {
         top.setGauge("sched_pool_size",
                      static_cast<double>(stats.sched.poolSize));

@@ -140,7 +140,7 @@ decodeShape(const sim::Program& prog)
         out.code.push_back(decodeOne(inst));
 
     // Sentinel: running off the end halts without counting an
-    // instruction, exactly like the interpreter's pc bound check.
+    // instruction, exactly like the simulator's pc bound check.
     // Branch targets may legally point here (loops ending the body).
     DInst end;
     end.op = DOp::kEnd;

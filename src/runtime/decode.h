@@ -3,10 +3,9 @@
  * Pre-decoded instruction form for the native runtime's execution
  * engine.
  *
- * The stage interpreter (runtime/worker.cc) walks the raw sim::Inst
- * stream, paying a kind-switch, an opcode classification chain
- * (usesQueue / usesArray), a full opcode switch, and a
- * `queueOffset_ + inst.queue` pointer lookup on every dynamic
+ * Walking the raw sim::Inst stream would pay a kind-switch, an opcode
+ * classification chain (usesQueue / usesArray), a full opcode switch,
+ * and a `queueOffset_ + inst.queue` pointer lookup on every dynamic
  * instruction. Decoding performs all of that classification once per
  * stage at pipeline setup:
  *
@@ -27,7 +26,7 @@
  * landing pad for branches that enter the pair in the middle. Branch
  * targets and control-handler pcs therefore need no remapping, and the
  * engine's dynamic instruction counts stay exactly equal to the raw
- * interpreter's (which the differential tests assert against the
+ * program's (which the differential tests assert against the
  * simulator).
  */
 
@@ -78,7 +77,7 @@ constexpr size_t kNumDOps = static_cast<size_t>(DOp::kCount_);
  * One decoded instruction. Hot operands are copied inline; the generic
  * scalar/memory paths evaluate through pointers to the original
  * sim::Inst so the functional semantics stay byte-identical to the
- * interpreter (both call the same sim/eval.h helpers).
+ * simulator (both call the same sim/eval.h helpers).
  */
 struct DInst
 {

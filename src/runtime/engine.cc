@@ -25,10 +25,8 @@ Engine::Engine(const DecodedProgram& prog, const EngineEnv& env)
 bool
 Engine::slowTick()
 {
-    // Mirrors the interpreter's heartbeat: long compute phases without
-    // queue ops must still look alive to blocked peers' watchdogs, and
-    // abort/budget are polled here rather than per instruction.
-    env_.ctl->progress.fetch_add(1, std::memory_order_relaxed);
+    // Abort and the instruction budget are polled here rather than per
+    // instruction.
     heartbeat_ = 0;
     if (env_.ctl->aborted())
         return false;
@@ -55,18 +53,6 @@ Engine::tick(uint64_t n)
     return true;
 }
 
-void
-Engine::reportDeadlock(const char* what, int abs_q)
-{
-    std::string msg = "deadlock: " + env_.stats->name + " blocked on " +
-                      what + " q" + std::to_string(abs_q) + " at pc=" +
-                      std::to_string(pc_) + " with no global progress for " +
-                      std::to_string(env_.ctl->opt.deadlockTimeoutMs) +
-                      " ms";
-    env_.ctl->fail(msg);
-    throw std::runtime_error(msg);
-}
-
 // ---------------------------------------------------------------------
 // Blocking queue primitives.
 // ---------------------------------------------------------------------
@@ -74,37 +60,19 @@ Engine::reportDeadlock(const char* what, int abs_q)
 bool
 Engine::waitPush(SpscQueue& q, int abs_q, const ir::Value& v)
 {
-    // Fast path: no shared-counter traffic; the instruction heartbeat
-    // keeps the watchdog fed while this worker runs.
     if (q.tryPush(v))
         return true;
     q.noteEnqBlocked();
     uint64_t t0 = env_.trace ? env_.trace->now() : 0;
     ParkTarget pt = makePushTarget(q, abs_q);
-    Backoff backoff(*env_.ctl);
-    for (;;) {
-        if (q.tryPush(v)) {
-            env_.ctl->progress.fetch_add(1, std::memory_order_relaxed);
-            if (env_.trace)
-                env_.trace->record(trace::EventKind::kEnqBlock, abs_q,
-                                   t0, env_.trace->now());
-            return true;
-        }
-        switch (backoff.step(*env_.ctl, /*stoppable=*/false, &pt)) {
-          case Backoff::Result::kRetry:
-            break;
-          case Backoff::Result::kStopped:
-            if (env_.trace)
-                env_.trace->record(trace::EventKind::kEnqBlock, abs_q,
-                                   t0, env_.trace->now());
-            return false;
-          case Backoff::Result::kDeadlock:
-            if (env_.trace)
-                env_.trace->record(trace::EventKind::kEnqBlock, abs_q,
-                                   t0, env_.trace->now());
-            reportDeadlock("enq", abs_q);
-        }
-    }
+    Backoff backoff;
+    bool ok = true;
+    while (ok && !q.tryPush(v))
+        ok = backoff.step(*env_.ctl, /*stoppable=*/false, pt);
+    if (env_.trace)
+        env_.trace->record(trace::EventKind::kEnqBlock, abs_q, t0,
+                           env_.trace->now());
+    return ok;
 }
 
 bool
@@ -122,32 +90,15 @@ Engine::popValue(const DInst& d, ir::Value& v)
         d.q->noteDeqBlocked();
         uint64_t t0 = env_.trace ? env_.trace->now() : 0;
         ParkTarget pt = makePopTarget(*d.q, d.absQ);
-        Backoff backoff(*env_.ctl);
-        for (;;) {
-            n = d.q->popBatch(kBatchCap, b.data.get());
-            if (n != 0) {
-                env_.ctl->progress.fetch_add(1,
-                                             std::memory_order_relaxed);
-                if (env_.trace)
-                    env_.trace->record(trace::EventKind::kDeqBlock,
-                                       d.absQ, t0, env_.trace->now());
-                break;
-            }
-            switch (backoff.step(*env_.ctl, /*stoppable=*/false, &pt)) {
-              case Backoff::Result::kRetry:
-                break;
-              case Backoff::Result::kStopped:
-                if (env_.trace)
-                    env_.trace->record(trace::EventKind::kDeqBlock,
-                                       d.absQ, t0, env_.trace->now());
-                return false;
-              case Backoff::Result::kDeadlock:
-                if (env_.trace)
-                    env_.trace->record(trace::EventKind::kDeqBlock,
-                                       d.absQ, t0, env_.trace->now());
-                reportDeadlock("deq", d.absQ);
-            }
-        }
+        Backoff backoff;
+        bool ok = true;
+        while (ok && (n = d.q->popBatch(kBatchCap, b.data.get())) == 0)
+            ok = backoff.step(*env_.ctl, /*stoppable=*/false, pt);
+        if (env_.trace)
+            env_.trace->record(trace::EventKind::kDeqBlock, d.absQ, t0,
+                               env_.trace->now());
+        if (!ok)
+            return false;
     }
     b.len = static_cast<uint32_t>(n);
     b.pos = 1;
@@ -170,30 +121,14 @@ Engine::peekValue(const DInst& d, ir::Value& v)
     d.q->noteDeqBlocked();
     uint64_t t0 = env_.trace ? env_.trace->now() : 0;
     ParkTarget pt = makePopTarget(*d.q, d.absQ, "peek");
-    Backoff backoff(*env_.ctl);
-    for (;;) {
-        if (d.q->tryPeek(v)) {
-            env_.ctl->progress.fetch_add(1, std::memory_order_relaxed);
-            if (env_.trace)
-                env_.trace->record(trace::EventKind::kDeqBlock, d.absQ,
-                                   t0, env_.trace->now());
-            return true;
-        }
-        switch (backoff.step(*env_.ctl, /*stoppable=*/false, &pt)) {
-          case Backoff::Result::kRetry:
-            break;
-          case Backoff::Result::kStopped:
-            if (env_.trace)
-                env_.trace->record(trace::EventKind::kDeqBlock, d.absQ,
-                                   t0, env_.trace->now());
-            return false;
-          case Backoff::Result::kDeadlock:
-            if (env_.trace)
-                env_.trace->record(trace::EventKind::kDeqBlock, d.absQ,
-                                   t0, env_.trace->now());
-            reportDeadlock("peek", d.absQ);
-        }
-    }
+    Backoff backoff;
+    bool ok = true;
+    while (ok && !d.q->tryPeek(v))
+        ok = backoff.step(*env_.ctl, /*stoppable=*/false, pt);
+    if (env_.trace)
+        env_.trace->record(trace::EventKind::kDeqBlock, d.absQ, t0,
+                           env_.trace->now());
+    return ok;
 }
 
 // ---------------------------------------------------------------------
@@ -204,7 +139,7 @@ bool
 Engine::hEnd(Engine& e, const DInst&)
 {
     // Fell off the end: halt without counting an instruction, exactly
-    // like the interpreter's pc bound check.
+    // like the simulator's pc bound check.
     (void)e;
     return false;
 }

@@ -4,7 +4,7 @@
  *
  * The engine executes a DecodedProgram (runtime/decode.h) through a
  * function-pointer handler table: one indirect call per decoded
- * instruction replaces the interpreter's kind-switch + opcode
+ * instruction replaces a raw sim::Inst walk's kind-switch + opcode
  * classification + opcode-switch, queue pointers are already absolute,
  * and fused superinstructions retire the flattener's dominant pairs in
  * one dispatch.
@@ -14,17 +14,18 @@
  * one acquire/release pair per run of values instead of one per element
  * — and subsequent deqs are served from the buffer. Buffering is
  * consumer-side only: values a stage *produces* are always published
- * immediately (blocking semantics and the deadlock watchdog depend on
+ * immediately (blocking semantics and deadlock detection depend on
  * enqueued values being visible to peers), while values already
  * published by a peer may be drained eagerly without changing any
  * observable ordering. Values drained but never architecturally
  * dequeued when the stage halts are reported via unconsumed() so queue
  * statistics (deq counts, residual occupancy) stay truthful.
  *
- * Semantics are bit-identical to the raw interpreter: both run the same
- * sim/eval.h functional core, and dynamic instruction counts match
- * exactly (fused pairs count two). The fuzzing oracle and the
- * differential tests exercise engine-on vs engine-off vs simulator.
+ * Semantics are bit-identical to the simulator's: both run the same
+ * sim/eval.h functional core over the same flattened program, and
+ * dynamic instruction counts match exactly (fused pairs count two).
+ * The fuzzing oracle and the differential tests exercise engine vs
+ * simulator vs serial reference.
  */
 
 #ifndef PHLOEM_RUNTIME_ENGINE_H
@@ -63,9 +64,9 @@ class Engine
     Engine(const DecodedProgram& prog, const EngineEnv& env);
 
     /**
-     * Execute until halt or abort. Throws (like the interpreter) on
-     * deadlock watchdog or instruction-budget violations; the caller's
-     * thread wrapper routes that to RunControl::fail.
+     * Execute until halt or abort. Throws on instruction-budget
+     * violations; the caller's task wrapper routes that to
+     * RunControl::fail.
      */
     void run();
 
@@ -94,7 +95,6 @@ class Engine
     /** Count n retired instructions; false when the run aborted. */
     bool tick(uint64_t n);
     bool slowTick();
-    [[noreturn]] void reportDeadlock(const char* what, int abs_q);
 
     // --- Blocking queue primitives ----------------------------------
     bool waitPush(SpscQueue& q, int abs_q, const ir::Value& v);

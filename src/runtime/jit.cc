@@ -731,18 +731,6 @@ JitHost::run(const JitArtifact& art)
     }
 }
 
-void
-JitHost::reportDeadlock(const char* what, int abs_q)
-{
-    std::string msg = "deadlock: " + env_.stats->name + " blocked on " +
-                      what + " q" + std::to_string(abs_q) + " at pc=" +
-                      std::to_string(pc_) + " with no global progress for " +
-                      std::to_string(env_.ctl->opt.deadlockTimeoutMs) +
-                      " ms";
-    env_.ctl->fail(msg);
-    throw std::runtime_error(msg);
-}
-
 bool
 JitHost::waitPush(SpscQueue& q, int abs_q, const ir::Value& v)
 {
@@ -751,30 +739,14 @@ JitHost::waitPush(SpscQueue& q, int abs_q, const ir::Value& v)
     q.noteEnqBlocked();
     uint64_t t0 = env_.trace ? env_.trace->now() : 0;
     ParkTarget pt = makePushTarget(q, abs_q);
-    Backoff backoff(*env_.ctl);
-    for (;;) {
-        if (q.tryPush(v)) {
-            env_.ctl->progress.fetch_add(1, std::memory_order_relaxed);
-            if (env_.trace)
-                env_.trace->record(trace::EventKind::kEnqBlock, abs_q,
-                                   t0, env_.trace->now());
-            return true;
-        }
-        switch (backoff.step(*env_.ctl, /*stoppable=*/false, &pt)) {
-          case Backoff::Result::kRetry:
-            break;
-          case Backoff::Result::kStopped:
-            if (env_.trace)
-                env_.trace->record(trace::EventKind::kEnqBlock, abs_q,
-                                   t0, env_.trace->now());
-            return false;
-          case Backoff::Result::kDeadlock:
-            if (env_.trace)
-                env_.trace->record(trace::EventKind::kEnqBlock, abs_q,
-                                   t0, env_.trace->now());
-            reportDeadlock("enq", abs_q);
-        }
-    }
+    Backoff backoff;
+    bool ok = true;
+    while (ok && !q.tryPush(v))
+        ok = backoff.step(*env_.ctl, /*stoppable=*/false, pt);
+    if (env_.trace)
+        env_.trace->record(trace::EventKind::kEnqBlock, abs_q, t0,
+                           env_.trace->now());
+    return ok;
 }
 
 bool
@@ -792,32 +764,15 @@ JitHost::popValue(int abs_q, SpscQueue& q, ir::Value& v)
         q.noteDeqBlocked();
         uint64_t t0 = env_.trace ? env_.trace->now() : 0;
         ParkTarget pt = makePopTarget(q, abs_q);
-        Backoff backoff(*env_.ctl);
-        for (;;) {
-            n = q.popBatch(kBatchCap, b.data.get());
-            if (n != 0) {
-                env_.ctl->progress.fetch_add(1,
-                                             std::memory_order_relaxed);
-                if (env_.trace)
-                    env_.trace->record(trace::EventKind::kDeqBlock,
-                                       abs_q, t0, env_.trace->now());
-                break;
-            }
-            switch (backoff.step(*env_.ctl, /*stoppable=*/false, &pt)) {
-              case Backoff::Result::kRetry:
-                break;
-              case Backoff::Result::kStopped:
-                if (env_.trace)
-                    env_.trace->record(trace::EventKind::kDeqBlock,
-                                       abs_q, t0, env_.trace->now());
-                return false;
-              case Backoff::Result::kDeadlock:
-                if (env_.trace)
-                    env_.trace->record(trace::EventKind::kDeqBlock,
-                                       abs_q, t0, env_.trace->now());
-                reportDeadlock("deq", abs_q);
-            }
-        }
+        Backoff backoff;
+        bool ok = true;
+        while (ok && (n = q.popBatch(kBatchCap, b.data.get())) == 0)
+            ok = backoff.step(*env_.ctl, /*stoppable=*/false, pt);
+        if (env_.trace)
+            env_.trace->record(trace::EventKind::kDeqBlock, abs_q, t0,
+                               env_.trace->now());
+        if (!ok)
+            return false;
     }
     b.len = static_cast<uint32_t>(n);
     b.pos = 1;
@@ -840,30 +795,14 @@ JitHost::peekValue(int abs_q, SpscQueue& q, ir::Value& v)
     q.noteDeqBlocked();
     uint64_t t0 = env_.trace ? env_.trace->now() : 0;
     ParkTarget pt = makePopTarget(q, abs_q, "peek");
-    Backoff backoff(*env_.ctl);
-    for (;;) {
-        if (q.tryPeek(v)) {
-            env_.ctl->progress.fetch_add(1, std::memory_order_relaxed);
-            if (env_.trace)
-                env_.trace->record(trace::EventKind::kDeqBlock, abs_q,
-                                   t0, env_.trace->now());
-            return true;
-        }
-        switch (backoff.step(*env_.ctl, /*stoppable=*/false, &pt)) {
-          case Backoff::Result::kRetry:
-            break;
-          case Backoff::Result::kStopped:
-            if (env_.trace)
-                env_.trace->record(trace::EventKind::kDeqBlock, abs_q,
-                                   t0, env_.trace->now());
-            return false;
-          case Backoff::Result::kDeadlock:
-            if (env_.trace)
-                env_.trace->record(trace::EventKind::kDeqBlock, abs_q,
-                                   t0, env_.trace->now());
-            reportDeadlock("peek", abs_q);
-        }
-    }
+    Backoff backoff;
+    bool ok = true;
+    while (ok && !q.tryPeek(v))
+        ok = backoff.step(*env_.ctl, /*stoppable=*/false, pt);
+    if (env_.trace)
+        env_.trace->record(trace::EventKind::kDeqBlock, abs_q, t0,
+                           env_.trace->now());
+    return ok;
 }
 
 std::vector<std::pair<int, uint64_t>>
@@ -887,7 +826,6 @@ JitHost::cbSlowTick(PhloemJitCtx* c)
 {
     auto* h = static_cast<JitHost*>(c->host);
     try {
-        h->env_.ctl->progress.fetch_add(1, std::memory_order_relaxed);
         if (h->env_.ctl->aborted())
             return 0;
         if (h->env_.stats->instructions > h->env_.ctl->opt.maxInstructions) {

@@ -4,25 +4,25 @@
  * it with the host toolchain into a shared object, and run the stage
  * through the emitted entry point.
  *
- * This is the third tier above the raw interpreter and the pre-decoded
- * engine. The engine already collapsed dispatch to one indirect call
- * per DInst, but every instruction still pays that call plus runtime
- * operand decode. The emitter removes both: each DInst becomes
- * straight-line C with its operands baked in as constants — scalar
- * bodies inlined from the sim/eval.h functional core (bit-identical
- * wrap/div/NaN semantics), branch targets as labels, fused
- * superinstruction sites kept fused, and queue ids baked as
- * replica-RELATIVE constants so one compiled object serves every
- * replica and can be cached across runs by the compilation service.
+ * This is the tier above the pre-decoded engine. The engine already
+ * collapsed dispatch to one indirect call per DInst, but every
+ * instruction still pays that call plus runtime operand decode. The
+ * emitter removes both: each DInst becomes straight-line C with its
+ * operands baked in as constants — scalar bodies inlined from the
+ * sim/eval.h functional core (bit-identical wrap/div/NaN semantics),
+ * branch targets as labels, fused superinstruction sites kept fused,
+ * and queue ids baked as replica-RELATIVE constants so one compiled
+ * object serves every replica and can be cached across runs by the
+ * compilation service.
  *
  * Anything that must touch runtime state the compiler cannot see —
  * blocking ring ops, array loads/stores (kSwapArr retargets bindings),
  * barriers, atomics — calls back into the host through a C function
  * table (PhloemJitCtx). Host callbacks never unwind through the C
- * frame: exceptions (deadlock watchdog, instruction budget,
- * out-of-bounds) are captured at the boundary, the callback returns 0,
- * the emitted code jumps to its exit, and the host rethrows — so the
- * failure behavior is exactly the engine's.
+ * frame: exceptions (instruction budget, out-of-bounds) are captured at
+ * the boundary, the callback returns 0, the emitted code jumps to its
+ * exit, and the host rethrows — so the failure behavior is exactly the
+ * engine's.
  *
  * The tier is always safe to enable: emission, compilation, or loading
  * failure of any one stage makes that stage fall back to the engine
@@ -179,9 +179,8 @@ class JitHost
 
     /**
      * Run the stage through the artifact's entry point. Rethrows any
-     * exception captured at the callback boundary (deadlock watchdog,
-     * instruction budget, out-of-bounds) after the C frame has
-     * returned, so failure behavior matches the engine exactly.
+     * exception captured at the callback boundary (instruction budget,
+     * out-of-bounds) after the C frame has returned, so failure behavior matches the engine exactly.
      */
     void run(const JitArtifact& art);
 
@@ -218,7 +217,6 @@ class JitHost
     bool waitPush(SpscQueue& q, int abs_q, const ir::Value& v);
     bool popValue(int abs_q, SpscQueue& q, ir::Value& v);
     bool peekValue(int abs_q, SpscQueue& q, ir::Value& v);
-    [[noreturn]] void reportDeadlock(const char* what, int abs_q);
 
     const sim::Program* prog_;
     EngineEnv env_;

@@ -121,8 +121,8 @@ struct QueueWaiters
  * `ready` must be a pure read of shared state (fresh acquire loads);
  * the scheduler calls it between registering on `list` and actually
  * yielding the worker, and again cannot-miss semantics come from the
- * fence pairing described above. A null `list` (legacy mode, waiters
- * not attached) makes the backoff fall back to spin-then-yield.
+ * fence pairing described above. The runtime attaches every ring's
+ * waiters before a run, so a blocked wait always has a `list`.
  */
 struct ParkTarget
 {

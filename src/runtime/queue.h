@@ -11,9 +11,9 @@
  *    hot path has no false sharing; each side additionally caches the
  *    other side's index and re-reads it only when the ring looks
  *    full/empty, which removes most cross-core coherence traffic;
- *  - tryPush/tryPop never block; blocking with spin-then-yield backoff
- *    is layered above (runtime/worker.cc), where shutdown and deadlock
- *    watchdog conditions are checked.
+ *  - tryPush/tryPop never block; blocking with spin-then-park backoff
+ *    is layered above (runtime/worker.cc), where shutdown and abort
+ *    are checked.
  *
  * Queues targeted by kEnqDist have one producer *per replica*; those are
  * marked multi-producer and pushes serialize on a tiny spinlock (the
@@ -67,10 +67,10 @@ class SpscQueue
     bool multiProducer() const { return multiProducer_; }
 
     /**
-     * Attach parking waiter slots (scheduler mode). Must happen before
-     * any producer/consumer touches the ring; a null slot (legacy
-     * thread-per-stage mode) keeps every notify hook on its first-load
-     * early-out, so the lock-free hot path is unchanged there.
+     * Attach parking waiter slots. The runtime does this for every ring
+     * before any producer/consumer touches it; a null slot (a
+     * standalone ring) keeps every notify hook on its first-load
+     * early-out.
      */
     void setWaiters(QueueWaiters* w) { waiters_ = w; }
     QueueWaiters* waiters() const { return waiters_; }
@@ -381,7 +381,7 @@ class SpscQueue
     alignas(64) std::atomic<bool> pushLock_{false};
     std::atomic<uint64_t> enqBlocks_{0};
     bool multiProducer_ = false;
-    /** Parking waiter slots, or null in legacy mode. */
+    /** Parking waiter slots, or null for a standalone ring. */
     QueueWaiters* waiters_ = nullptr;
 };
 

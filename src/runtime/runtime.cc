@@ -1,9 +1,7 @@
 #include "runtime/runtime.h"
 
 #include <atomic>
-#include <cctype>
 #include <chrono>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -31,7 +29,7 @@ elapsedNs(Clock::time_point t0, Clock::time_point t1)
             .count());
 }
 
-/** Thread body shared by all workers: route exceptions to RunControl. */
+/** Task body shared by all workers: route exceptions to RunControl. */
 template <typename W>
 void
 workerMain(W& worker, RunControl& ctl)
@@ -43,142 +41,10 @@ workerMain(W& worker, RunControl& ctl)
     }
 }
 
-/**
- * Resolve the engine selection: explicit option wins; kAuto defaults to
- * on, with the PHLOEM_NATIVE_ENGINE environment variable as the escape
- * hatch. Accepted spellings (case-insensitive): 0/false/off disable,
- * 1/true/on enable. Anything else warns once and keeps the default so a
- * typo in a fuzz/CI harness cannot silently flip the configuration.
- */
-bool
-resolveEngine(EngineMode mode)
-{
-    switch (mode) {
-      case EngineMode::kOn:
-        return true;
-      case EngineMode::kOff:
-        return false;
-      case EngineMode::kAuto:
-        break;
-    }
-    const char* env = std::getenv("PHLOEM_NATIVE_ENGINE");
-    if (env == nullptr || *env == '\0')
-        return true;
-    std::string v(env);
-    for (char& c : v)
-        c = static_cast<char>(
-            std::tolower(static_cast<unsigned char>(c)));
-    if (v == "0" || v == "false" || v == "off")
-        return false;
-    if (v == "1" || v == "true" || v == "on")
-        return true;
-    static std::atomic<bool> warned{false};
-    if (!warned.exchange(true))
-        phloem_warn("unrecognized PHLOEM_NATIVE_ENGINE value \"", env,
-                    "\" (expected 0/false/off or 1/true/on); engine "
-                    "stays enabled");
-    return true;
-}
-
-/**
- * Resolve the scheduler selection, mirroring resolveEngine: explicit
- * option wins; kAuto defaults to the shared pool, with PHLOEM_SCHED as
- * the escape hatch. Accepted spellings (case-insensitive):
- * legacy/threads/off/0 keep one OS thread per worker, shared/pool/on/1
- * use the shared pool. Anything else warns once and keeps the default.
- */
-bool
-resolveScheduler(SchedulerMode mode)
-{
-    switch (mode) {
-      case SchedulerMode::kShared:
-        return true;
-      case SchedulerMode::kLegacy:
-        return false;
-      case SchedulerMode::kAuto:
-        break;
-    }
-    const char* env = std::getenv("PHLOEM_SCHED");
-    if (env == nullptr || *env == '\0')
-        return true;
-    std::string v(env);
-    for (char& c : v)
-        c = static_cast<char>(
-            std::tolower(static_cast<unsigned char>(c)));
-    if (v == "legacy" || v == "threads" || v == "off" || v == "0")
-        return false;
-    if (v == "shared" || v == "pool" || v == "on" || v == "1")
-        return true;
-    static std::atomic<bool> warned{false};
-    if (!warned.exchange(true))
-        phloem_warn("unrecognized PHLOEM_SCHED value \"", env,
-                    "\" (expected legacy/threads/off/0 or "
-                    "shared/pool/on/1); shared scheduler stays enabled");
-    return true;
-}
-
-/**
- * Resolve the stage execution tier. Precedence: explicit opt.tier, then
- * an explicit opt.engine (kOn -> engine, kOff -> interpreter), then the
- * PHLOEM_NATIVE_TIER env override, then PHLOEM_NATIVE_ENGINE (via
- * resolveEngine). Accepted PHLOEM_NATIVE_TIER spellings
- * (case-insensitive): jit, engine, interp/interpreter. Anything else
- * warns once and falls through to the engine-era resolution, matching
- * the PHLOEM_NATIVE_ENGINE convention.
- */
-TierMode
-resolveTier(const RuntimeOptions& opt)
-{
-    switch (opt.tier) {
-      case TierMode::kInterp:
-        return TierMode::kInterp;
-      case TierMode::kEngine:
-        return TierMode::kEngine;
-      case TierMode::kJit:
-        return TierMode::kJit;
-      case TierMode::kAuto:
-        break;
-    }
-    if (opt.engine == EngineMode::kOn)
-        return TierMode::kEngine;
-    if (opt.engine == EngineMode::kOff)
-        return TierMode::kInterp;
-    const char* env = std::getenv("PHLOEM_NATIVE_TIER");
-    if (env != nullptr && *env != '\0') {
-        std::string v(env);
-        for (char& c : v)
-            c = static_cast<char>(
-                std::tolower(static_cast<unsigned char>(c)));
-        if (v == "jit")
-            return TierMode::kJit;
-        if (v == "engine")
-            return TierMode::kEngine;
-        if (v == "interp" || v == "interpreter")
-            return TierMode::kInterp;
-        static std::atomic<bool> warned{false};
-        if (!warned.exchange(true))
-            phloem_warn("unrecognized PHLOEM_NATIVE_TIER value \"", env,
-                        "\" (expected jit, engine, or "
-                        "interp/interpreter); falling back to "
-                        "PHLOEM_NATIVE_ENGINE");
-    }
-    return resolveEngine(EngineMode::kAuto) ? TierMode::kEngine
-                                            : TierMode::kInterp;
-}
-
 const char*
 tierName(TierMode t)
 {
-    switch (t) {
-      case TierMode::kInterp:
-        return "interp";
-      case TierMode::kJit:
-        return "jit";
-      case TierMode::kAuto:
-      case TierMode::kEngine:
-        break;
-    }
-    return "engine";
+    return t == TierMode::kJit ? "jit" : "engine";
 }
 
 /**
@@ -239,15 +105,9 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
     phloem_assert(total_threads >= 1, "pipeline has no stages");
     int total_workers =
         total_threads + static_cast<int>(pipeline.ras.size()) * replicas;
-    const bool use_sched = resolveScheduler(opt_.scheduler);
-    if (use_sched) {
-        // Tasks, not threads: a wide pipeline costs stacks, not cores.
-        phloem_assert(total_workers <= 4096,
-                      "refusing to schedule that many tasks");
-    } else {
-        phloem_assert(total_workers <= 512,
-                      "refusing to spawn that many host threads");
-    }
+    // Tasks, not threads: a wide pipeline costs stacks, not cores.
+    phloem_assert(total_workers <= 4096,
+                  "refusing to schedule that many tasks");
 
     // Build the rings: default depth from the architecture config,
     // per-queue overrides from the pipeline.
@@ -315,8 +175,6 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
 
     RunControl ctl;
     ctl.opt = opt_;
-    ctl.tier = resolveTier(opt_);
-    ctl.useEngine = ctl.tier != TierMode::kInterp;
 
     // JIT tier: build (or reuse) one artifact per stage program before
     // the timed region — replicas share artifacts, and a cache hit in
@@ -324,7 +182,7 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
     // just downgrades that stage to the engine (recorded per worker).
     std::vector<JitArtifactPtr> local_jit;
     const std::vector<JitArtifactPtr>* jit_arts = nullptr;
-    if (ctl.tier == TierMode::kJit) {
+    if (opt_.tier == TierMode::kJit) {
         if (prep.jit != nullptr) {
             phloem_assert(prep.jit->size() == programs.size(),
                           "jit artifact count (", prep.jit->size(),
@@ -387,7 +245,7 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
     }
 
     // Tracing: register one ring per worker (single-writer; must happen
-    // before the threads start) plus a sampler lane that snapshots queue
+    // before the tasks start) plus a sampler lane that snapshots queue
     // occupancy through the rings' atomic size estimate. With no tracer,
     // every worker keeps a null traceBuf and each hook is a dead branch.
     trace::Tracer* tracer = opt_.tracer;
@@ -429,120 +287,65 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
         });
     }
 
-    // Parallel region: run everyone, wait for the stage workers (their
-    // halt defines completion — RAs never write memory), then release
-    // the RAs. Scheduler mode multiplexes all workers as parkable
-    // tasks on a fixed-size shared pool; legacy mode spawns one OS
-    // thread each (kept as a differential-testing fallback).
-    SchedStats sched_stats;
-    std::vector<HwLane> hw_lanes;
+    // Parallel region: run everyone as parkable tasks on a fixed-size
+    // pool, wait for the stage workers (their halt defines completion —
+    // RAs never write memory), then release the RAs.
     ResourceUsage ru0 = ResourceUsage::processNow();
+    Scheduler::Options hint;
+    hint.workers = opt_.schedWorkers;
+    hint.stealing = opt_.schedStealing;
+    Scheduler& sched = opt_.schedulerOverride != nullptr
+                           ? *opt_.schedulerOverride
+                           : Scheduler::shared(&hint);
+    // Attach the rings' waiter slots before any task can touch them:
+    // this is what arms the park/unpark path in the backoff.
+    std::vector<QueueWaiters> queue_waiters(static_cast<size_t>(num_queues));
+    for (int i = 0; i < num_queues; ++i)
+        queue_ptrs[static_cast<size_t>(i)]->setWaiters(
+            &queue_waiters[static_cast<size_t>(i)]);
+    auto run = sched.createRun(&ctl);
+    ctl.schedRun = run.get();
+    for (auto& w : ra_workers)
+        run->addTask(w->stats.name, /*is_stage=*/false,
+                     [&ctl, worker = w.get()] { workerMain(*worker, ctl); });
+    for (auto& w : stage_workers)
+        run->addTask(w->stats.name, /*is_stage=*/true,
+                     [&ctl, worker = w.get()] { workerMain(*worker, ctl); });
+    // Pool lanes are snapshot-diffed around the run: the counters belong
+    // to the pool threads, which this run only borrows (concurrent runs
+    // overlap on the same lanes).
+    auto hw_before = sched.hwSnapshot();
     auto t0 = Clock::now();
-    auto t1 = t0;
-    std::vector<QueueWaiters> queue_waiters;
-    if (use_sched) {
-        Scheduler::Options hint;
-        hint.workers = opt_.schedWorkers;
-        hint.stealing = opt_.schedStealing;
-        Scheduler& sched = opt_.schedulerOverride != nullptr
-                               ? *opt_.schedulerOverride
-                               : Scheduler::shared(&hint);
-        // Attach the rings' waiter slots before any task can touch
-        // them: this is what arms the park/unpark path in the backoff.
-        queue_waiters =
-            std::vector<QueueWaiters>(static_cast<size_t>(num_queues));
-        for (int i = 0; i < num_queues; ++i)
-            queue_ptrs[static_cast<size_t>(i)]->setWaiters(
-                &queue_waiters[static_cast<size_t>(i)]);
-        auto run = sched.createRun(&ctl);
-        ctl.schedRun = run.get();
-        for (auto& w : ra_workers)
-            run->addTask(w->stats.name, /*is_stage=*/false,
-                         [&ctl, worker = w.get()] {
-                             workerMain(*worker, ctl);
-                         });
-        for (auto& w : stage_workers)
-            run->addTask(w->stats.name, /*is_stage=*/true,
-                         [&ctl, worker = w.get()] {
-                             workerMain(*worker, ctl);
-                         });
-        // Pool lanes are snapshot-diffed around the run: the counters
-        // belong to the pool threads, which this run only borrows
-        // (concurrent runs overlap on the same lanes).
-        auto hw_before = sched.hwSnapshot();
-        t0 = Clock::now();
-        run->start();
-        run->waitStages();
-        t1 = Clock::now();
-        ctl.stop.store(true, std::memory_order_release);
-        // RAs parked on drained inputs cannot observe stop; wake them.
-        run->wakeAllTasks();
-        run->waitAll();
-        auto hw_after = sched.hwSnapshot();
-        for (const auto& after : hw_after) {
-            HwLane lane;
-            lane.name = after.name;
-            lane.counts = after.counts;
-            for (const auto& before : hw_before) {
-                if (before.name == after.name) {
-                    lane.counts = after.counts.minus(before.counts);
-                    break;
-                }
+    run->start();
+    run->waitStages();
+    auto t1 = Clock::now();
+    ctl.stop.store(true, std::memory_order_release);
+    // RAs parked on drained inputs cannot observe stop; wake them.
+    run->wakeAllTasks();
+    run->waitAll();
+    std::vector<HwLane> hw_lanes;
+    for (const auto& after : sched.hwSnapshot()) {
+        HwLane lane;
+        lane.name = after.name;
+        lane.counts = after.counts;
+        for (const auto& before : hw_before) {
+            if (before.name == after.name) {
+                lane.counts = after.counts.minus(before.counts);
+                break;
             }
-            hw_lanes.push_back(std::move(lane));
         }
-        sched_stats.shared = true;
-        sched_stats.poolSize = sched.poolSize();
-        sched_stats.stealing = sched.stealing();
-        sched_stats.parks = run->parks();
-        sched_stats.unparks = run->unparks();
-        sched_stats.steals = run->steals();
-        sched_stats.yields = run->yields();
-        ctl.schedRun = nullptr;
-    } else {
-        // Dedicated threads: each opens its own counters, reads them at
-        // exit into a pre-sized slot (joined before anyone looks).
-        std::vector<HwCounts> ra_hw(ra_workers.size());
-        std::vector<HwCounts> stage_hw(stage_workers.size());
-        std::vector<std::thread> ra_threads;
-        ra_threads.reserve(ra_workers.size());
-        for (size_t k = 0; k < ra_workers.size(); ++k)
-            ra_threads.emplace_back(
-                [&ctl, worker = ra_workers[k].get(), slot = &ra_hw[k]] {
-                    setCurrentThreadName(worker->stats.name);
-                    HwThreadCounters hw;
-                    hw.open();
-                    workerMain(*worker, ctl);
-                    *slot = hw.read();
-                });
-        std::vector<std::thread> stage_threads;
-        stage_threads.reserve(stage_workers.size());
-        for (size_t k = 0; k < stage_workers.size(); ++k)
-            stage_threads.emplace_back(
-                [&ctl, worker = stage_workers[k].get(),
-                 slot = &stage_hw[k]] {
-                    setCurrentThreadName(worker->stats.name);
-                    HwThreadCounters hw;
-                    hw.open();
-                    workerMain(*worker, ctl);
-                    *slot = hw.read();
-                });
-
-        for (auto& t : stage_threads)
-            t.join();
-        t1 = Clock::now();
-
-        ctl.stop.store(true, std::memory_order_release);
-        for (auto& t : ra_threads)
-            t.join();
-        for (size_t k = 0; k < stage_workers.size(); ++k)
-            if (stage_hw[k].valid)
-                hw_lanes.push_back(
-                    {stage_workers[k]->stats.name, stage_hw[k]});
-        for (size_t k = 0; k < ra_workers.size(); ++k)
-            if (ra_hw[k].valid)
-                hw_lanes.push_back({ra_workers[k]->stats.name, ra_hw[k]});
+        hw_lanes.push_back(std::move(lane));
     }
+    SchedStats sched_stats;
+    sched_stats.shared = true;
+    sched_stats.poolSize = sched.poolSize();
+    sched_stats.stealing = sched.stealing();
+    sched_stats.parks = run->parks();
+    sched_stats.unparks = run->unparks();
+    sched_stats.steals = run->steals();
+    sched_stats.yields = run->yields();
+    ctl.schedRun = nullptr;
+
     if (sampler.joinable()) {
         sampler_stop.store(true, std::memory_order_release);
         sampler.join();
@@ -563,8 +366,8 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
     out.wallNs = elapsedNs(t0, t1);
     out.numStageThreads = total_threads;
     out.numRAWorkers = static_cast<int>(ra_workers.size());
-    out.engine = ctl.useEngine;
-    out.tier = tierName(ctl.tier);
+    out.engine = true;
+    out.tier = tierName(opt_.tier);
     if (jit_arts != nullptr) {
         for (const JitArtifactPtr& a : *jit_arts) {
             out.jitEmitNs += a->emitNs;
@@ -666,14 +469,12 @@ Runtime::runSerial(const ir::Function& fn, sim::Binding& binding)
 
     RunControl ctl;
     ctl.opt = opt_;
-    ctl.tier = resolveTier(opt_);
-    ctl.useEngine = ctl.tier != TierMode::kInterp;
     StageBarrier barrier(1);
     StageWorker worker(fn.name, &prog, binding, /*replica=*/0,
                        /*queue_offset=*/0, /*queue_stride=*/0,
                        /*num_replicas=*/1, {}, &barrier, &ctl);
     JitArtifactPtr jit_art;
-    if (ctl.tier == TierMode::kJit) {
+    if (opt_.tier == TierMode::kJit) {
         jit_art = buildStageArtifact(prog, nullptr, fn.name);
         if (jit_art->ok())
             worker.jit = jit_art.get();
@@ -701,8 +502,8 @@ Runtime::runSerial(const ir::Function& fn, sim::Binding& binding)
         out.hwValid = true;
     }
     out.rusage = ResourceUsage::processNow().minus(ru0);
-    out.engine = ctl.useEngine;
-    out.tier = tierName(ctl.tier);
+    out.engine = true;
+    out.tier = tierName(opt_.tier);
     if (jit_art != nullptr) {
         out.jitEmitNs = jit_art->emitNs;
         out.jitCompileNs = jit_art->compileNs;

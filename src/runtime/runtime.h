@@ -1,7 +1,7 @@
 /**
  * @file
- * Native execution backend: run a compiled pipeline on real host
- * threads connected by lock-free SPSC ring buffers.
+ * Native execution backend: run a compiled pipeline as tasks on a host
+ * thread pool, connected by lock-free SPSC ring buffers.
  *
  * This is the "what if the paper's hardware were software" backend: one
  * resumable task per pipeline stage (per replica), one task per software
@@ -9,11 +9,12 @@
  * Tasks run on a fixed-size shared work-stealing pool (runtime/sched.h)
  * sized to the machine, so many pipelines — or one pipeline with more
  * stages than cores — share the host without thread oversubscription; a
- * task blocked on a full/empty ring parks and yields its pool worker.
- * RuntimeOptions::scheduler = kLegacy restores thread-per-stage.
- * It interprets the same sim::flatten instruction stream as the
- * simulator, through the same functional core (sim/eval.h), so its
- * output is bit-for-bit identical to the simulator's — which the
+ * task blocked on a full/empty ring parks and yields its pool worker;
+ * the scheduler's all-parked monitor is the one deadlock detector.
+ * Each stage runs the same sim::flatten instruction stream as the
+ * simulator, pre-decoded (runtime/engine.h) or compiled per stage
+ * (runtime/jit.h), through the same functional core (sim/eval.h), so
+ * its output is bit-for-bit identical to the simulator's — which the
  * differential tests enforce.
  *
  * What it measures is real: wall-clock time of the parallel region and
@@ -69,9 +70,9 @@ class Runtime
     }
 
     /**
-     * Execute a pipeline to completion on host threads. Mutates the
+     * Execute a pipeline to completion on the task pool. Mutates the
      * bound arrays exactly as Machine::runPipeline would. On failure
-     * (deadlock watchdog, worker exception) the returned stats have
+     * (deadlock monitor, worker exception) the returned stats have
      * ok=false and the array contents are unspecified.
      */
     NativeStats runPipeline(const ir::Pipeline& pipeline,
@@ -97,7 +98,7 @@ class Runtime
                             sim::Binding& binding,
                             const PreparedPrograms& prep);
 
-    /** Execute a serial function on one host thread (the baseline). */
+    /** Execute a serial function on the calling thread (the baseline). */
     NativeStats runSerial(const ir::Function& fn, sim::Binding& binding);
 
   private:

@@ -19,11 +19,11 @@
  * stall-attribution traces motivate: the stalled edge's two endpoints
  * share a cache).
  *
- * Deadlock detection is scheduler-aware progress epochs rather than
- * the legacy wall-time heuristic: a run is deadlocked iff *every* live
- * task is Parked (nothing runnable, nothing running) and stays so for
- * the run's timeout. A merely descheduled task is Runnable, so an
- * oversubscribed-but-live pipeline can never trip the watchdog.
+ * Deadlock detection is scheduler-aware rather than a wall-time
+ * heuristic: a run is deadlocked iff *every* live task is Parked
+ * (nothing runnable, nothing running) and stays so for the run's
+ * timeout. A merely descheduled task is Runnable, so an
+ * oversubscribed-but-live pipeline can never trip the monitor.
  *
  * See DESIGN.md §12 for the task state machine and parking protocol.
  */

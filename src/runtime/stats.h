@@ -98,7 +98,7 @@ struct WorkerStats
     /** Static superinstruction sites found by the decoder. */
     uint64_t fusedSites = 0;
 
-    /** Tier this worker actually ran: "interp", "engine", or "jit". */
+    /** Tier this worker actually ran: "engine" or "jit". */
     std::string tier;
     /**
      * JIT-tier runs where this stage fell back to the engine: the
@@ -110,7 +110,7 @@ struct WorkerStats
 /** Scheduler-side counters for one run (shared task pool only). */
 struct SchedStats
 {
-    /** Run executed as tasks on the shared pool (vs. legacy threads). */
+    /** Run executed as tasks on the pool (false for runSerial). */
     bool shared = false;
     /** Worker threads in the pool that ran this pipeline. */
     int poolSize = 0;
@@ -127,11 +127,11 @@ struct SchedStats
 };
 
 /**
- * Hardware-counter deltas for one counted OS thread during a run.
- * In legacy mode a lane is a stage/RA worker thread; in shared-scheduler
- * mode a lane is a pool worker thread (fibers migrate, so per-task
+ * Hardware-counter deltas for one counted OS thread during a run. For a
+ * pipeline a lane is a pool worker thread (fibers migrate, so per-task
  * counting would attribute other tasks' cycles — concurrent runs on the
- * shared pool therefore overlap on the same lanes).
+ * shared pool therefore overlap on the same lanes); for runSerial it is
+ * the calling thread.
  */
 struct HwLane
 {
@@ -141,13 +141,16 @@ struct HwLane
 
 struct NativeStats
 {
-    /** Wall-clock time of the parallel region (threads spawn -> join). */
+    /** Wall-clock time of the parallel region (tasks start -> halt). */
     double wallNs = 0.0;
     int numStageThreads = 0;
     int numRAWorkers = 0;
-    /** Stage workers ran the pre-decoded engine (vs. raw interpreter). */
+    /**
+     * Stage workers ran the pre-decoded engine (the JIT tier included:
+     * it falls back to the engine per stage). Set by every run.
+     */
     bool engine = false;
-    /** Resolved stage tier: "interp", "engine", or "jit". */
+    /** Stage tier: "engine" or "jit". */
     std::string tier = "engine";
     /** JIT tier: stage workers that ran compiled code. */
     int jitStages = 0;
@@ -159,7 +162,7 @@ struct NativeStats
     double jitEmitNs = 0.0;
     double jitCompileNs = 0.0;
     double jitLoadNs = 0.0;
-    /** Task-pool scheduling counters (sched.shared false in legacy mode). */
+    /** Task-pool scheduling counters (sched.shared false for runSerial). */
     SchedStats sched;
 
     std::vector<WorkerStats> workers;
@@ -173,7 +176,7 @@ struct NativeStats
     ResourceUsage rusage;
 
     bool ok = true;
-    /** Deadlock-watchdog / worker-exception diagnostics when !ok. */
+    /** Deadlock-monitor / worker-exception diagnostics when !ok. */
     std::string error;
 
     double wallMs() const { return wallNs / 1e6; }

@@ -1,32 +1,17 @@
 #include "runtime/worker.h"
 
-#include <chrono>
-#include <stdexcept>
-#include <thread>
-
 #include "base/logging.h"
 #include "ir/op.h"
 #include "runtime/decode.h"
 #include "runtime/engine.h"
 #include "runtime/jit.h"
 #include "runtime/sched.h"
-#include "sim/eval.h"
 
 namespace phloem::rt {
 
 namespace {
 
-/** Monotonic timestamp in nanoseconds. */
-uint64_t
-nowNs()
-{
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
-
-/** Spin this many times with cpuRelax before starting to yield. */
+/** Spin this many times with cpuRelax before parking. */
 constexpr int kSpinLimit = 256;
 
 } // namespace
@@ -35,62 +20,35 @@ constexpr int kSpinLimit = 256;
 // Backoff.
 // ---------------------------------------------------------------------
 
-Backoff::Backoff(RunControl& ctl)
-    : lastProgress_(ctl.progress.load(std::memory_order_relaxed)),
-      lastChangeNs_(nowNs())
+bool
+Backoff::step(RunControl& ctl, bool stoppable, const ParkTarget& pt)
 {
-}
-
-Backoff::Result
-Backoff::step(RunControl& ctl, bool stoppable, const ParkTarget* pt)
-{
+    phloem_assert(pt.list != nullptr && Scheduler::current() != nullptr,
+                  "blocking ", pt.what, " wait must run on a pool task "
+                  "with a parkable target");
     if (ctl.aborted())
-        return Result::kStopped;
+        return false;
     if (stoppable && ctl.stop.load(std::memory_order_acquire))
-        return Result::kStopped;
+        return false;
 
     // On a single-worker pool spinning is pure waste: the peer task
     // that would satisfy this wait shares the only worker and cannot
     // run until we yield, so park straight away.
-    if (spins_ == 0 && pt != nullptr && pt->list != nullptr &&
-        Scheduler::currentPoolSize() == 1)
+    if (spins_ == 0 && Scheduler::currentPoolSize() == 1)
         spins_ = kSpinLimit;
 
     if (spins_ < kSpinLimit) {
         spins_++;
         cpuRelax();
-        return Result::kRetry;
+        return true;
     }
 
-    // Scheduler mode: after the capped spin phase, park instead of
-    // burning the core — the other side of the ring unparks us. The
-    // wall-time watchdog below would misfire here (a task can sit
-    // unscheduled with the whole run healthy), so deadlock detection
-    // moves to the scheduler's all-parked monitor, whose fail() the
-    // abort check above observes after we are woken.
-    if (pt != nullptr && pt->list != nullptr &&
-        Scheduler::current() != nullptr) {
-        Scheduler::parkCurrent(*pt, ctl, stoppable);
-        return Result::kRetry;
-    }
-
-    std::this_thread::yield();
-
-    // Watchdog: when the whole runtime stops making progress while we
-    // are blocked, the pipeline is deadlocked (e.g. a mis-compiled
-    // program enqueueing without a consumer).
-    uint64_t p = ctl.progress.load(std::memory_order_relaxed);
-    uint64_t now = nowNs();
-    if (p != lastProgress_) {
-        lastProgress_ = p;
-        lastChangeNs_ = now;
-        return Result::kRetry;
-    }
-    uint64_t timeout_ns =
-        static_cast<uint64_t>(ctl.opt.deadlockTimeoutMs) * 1'000'000ull;
-    if (now - lastChangeNs_ > timeout_ns)
-        return Result::kDeadlock;
-    return Result::kRetry;
+    // After the capped spin phase, park instead of burning the core —
+    // the other side of the ring unparks us. A deadlocked run is caught
+    // by the scheduler's all-parked monitor, whose fail() wakes us and
+    // the abort check above observes it.
+    Scheduler::parkCurrent(pt, ctl, stoppable);
+    return true;
 }
 
 // ---------------------------------------------------------------------
@@ -104,7 +62,6 @@ StageBarrier::arriveAndWait(RunControl& ctl)
     int arrived = waiting_.fetch_add(1, std::memory_order_acq_rel) + 1;
     if (arrived == parties_) {
         waiting_.store(0, std::memory_order_relaxed);
-        ctl.progress.fetch_add(1, std::memory_order_relaxed);
         generation_.fetch_add(1, std::memory_order_release);
         // Notifier side of the parking handshake: the generation bump
         // above must be ordered before the waiter-list check, so a
@@ -121,19 +78,10 @@ StageBarrier::arriveAndWait(RunControl& ctl)
     pt.obj = this;
     pt.arg = gen;
     pt.what = "barrier";
-    Backoff backoff(ctl);
-    while (generation_.load(std::memory_order_acquire) == gen) {
-        switch (backoff.step(ctl, /*stoppable=*/false, &pt)) {
-          case Backoff::Result::kRetry:
-            break;
-          case Backoff::Result::kStopped:
+    Backoff backoff;
+    while (generation_.load(std::memory_order_acquire) == gen)
+        if (!backoff.step(ctl, /*stoppable=*/false, pt))
             return false;
-          case Backoff::Result::kDeadlock:
-            ctl.fail("deadlock: thread stuck at barrier (another stage "
-                     "halted without reaching it?)");
-            return false;
-        }
-    }
     return !ctl.aborted();
 }
 
@@ -164,268 +112,19 @@ StageWorker::StageWorker(std::string name, const sim::Program* prog,
 }
 
 void
-StageWorker::reportDeadlock(const char* what, int abs_q)
-{
-    std::string msg = "deadlock: " + stats.name + " blocked on " + what +
-                      " q" + std::to_string(abs_q) + " at pc=" +
-                      std::to_string(pc_) + " with no global progress for " +
-                      std::to_string(ctl_->opt.deadlockTimeoutMs) + " ms";
-    ctl_->fail(msg);
-    throw std::runtime_error(msg);
-}
-
-bool
-StageWorker::waitPush(int abs_q, const ir::Value& v)
-{
-    SpscQueue& q = *queues_[static_cast<size_t>(abs_q)];
-    // Fast path: no shared-counter traffic. The per-instruction
-    // heartbeat keeps the watchdog fed while this worker runs.
-    if (q.tryPush(v))
-        return true;
-    q.noteEnqBlocked();
-    uint64_t t0 = traceBuf ? traceBuf->now() : 0;
-    ParkTarget pt = makePushTarget(q, abs_q);
-    Backoff backoff(*ctl_);
-    for (;;) {
-        if (q.tryPush(v)) {
-            ctl_->progress.fetch_add(1, std::memory_order_relaxed);
-            if (traceBuf)
-                traceBuf->record(trace::EventKind::kEnqBlock, abs_q, t0,
-                                 traceBuf->now());
-            return true;
-        }
-        switch (backoff.step(*ctl_, /*stoppable=*/false, &pt)) {
-          case Backoff::Result::kRetry:
-            break;
-          case Backoff::Result::kStopped:
-            if (traceBuf)
-                traceBuf->record(trace::EventKind::kEnqBlock, abs_q, t0,
-                                 traceBuf->now());
-            return false;
-          case Backoff::Result::kDeadlock:
-            if (traceBuf)
-                traceBuf->record(trace::EventKind::kEnqBlock, abs_q, t0,
-                                 traceBuf->now());
-            reportDeadlock("enq", abs_q);
-        }
-    }
-}
-
-bool
-StageWorker::waitPop(int abs_q, ir::Value& v)
-{
-    SpscQueue& q = *queues_[static_cast<size_t>(abs_q)];
-    if (q.tryPop(v))
-        return true;
-    q.noteDeqBlocked();
-    uint64_t t0 = traceBuf ? traceBuf->now() : 0;
-    ParkTarget pt = makePopTarget(q, abs_q);
-    Backoff backoff(*ctl_);
-    for (;;) {
-        if (q.tryPop(v)) {
-            ctl_->progress.fetch_add(1, std::memory_order_relaxed);
-            if (traceBuf)
-                traceBuf->record(trace::EventKind::kDeqBlock, abs_q, t0,
-                                 traceBuf->now());
-            return true;
-        }
-        switch (backoff.step(*ctl_, /*stoppable=*/false, &pt)) {
-          case Backoff::Result::kRetry:
-            break;
-          case Backoff::Result::kStopped:
-            if (traceBuf)
-                traceBuf->record(trace::EventKind::kDeqBlock, abs_q, t0,
-                                 traceBuf->now());
-            return false;
-          case Backoff::Result::kDeadlock:
-            if (traceBuf)
-                traceBuf->record(trace::EventKind::kDeqBlock, abs_q, t0,
-                                 traceBuf->now());
-            reportDeadlock("deq", abs_q);
-        }
-    }
-}
-
-bool
-StageWorker::waitPeek(int abs_q, ir::Value& v)
-{
-    SpscQueue& q = *queues_[static_cast<size_t>(abs_q)];
-    if (q.tryPeek(v))
-        return true;
-    q.noteDeqBlocked();
-    uint64_t t0 = traceBuf ? traceBuf->now() : 0;
-    ParkTarget pt = makePopTarget(q, abs_q, "peek");
-    Backoff backoff(*ctl_);
-    for (;;) {
-        if (q.tryPeek(v)) {
-            // The producer's value arriving is global progress: without
-            // this bump a pipeline advancing only through peeks would
-            // eventually trip a peer's deadlock watchdog.
-            ctl_->progress.fetch_add(1, std::memory_order_relaxed);
-            if (traceBuf)
-                traceBuf->record(trace::EventKind::kDeqBlock, abs_q, t0,
-                                 traceBuf->now());
-            return true;
-        }
-        switch (backoff.step(*ctl_, /*stoppable=*/false, &pt)) {
-          case Backoff::Result::kRetry:
-            break;
-          case Backoff::Result::kStopped:
-            if (traceBuf)
-                traceBuf->record(trace::EventKind::kDeqBlock, abs_q, t0,
-                                 traceBuf->now());
-            return false;
-          case Backoff::Result::kDeadlock:
-            if (traceBuf)
-                traceBuf->record(trace::EventKind::kDeqBlock, abs_q, t0,
-                                 traceBuf->now());
-            reportDeadlock("peek", abs_q);
-        }
-    }
-}
-
-bool
-StageWorker::execOp(const sim::Inst& inst)
-{
-    using ir::Opcode;
-
-    stats.opCounts[static_cast<size_t>(inst.opcode)]++;
-
-    if (ir::usesQueue(inst.opcode)) {
-        stats.queueOps++;
-        switch (inst.opcode) {
-          case Opcode::kEnq:
-          case Opcode::kEnqCtrl:
-          case Opcode::kEnqDist: {
-            int abs_q;
-            if (inst.opcode == Opcode::kEnqDist) {
-                int64_t sel =
-                    regs_[static_cast<size_t>(inst.src1)].asInt();
-                int target = sim::distTargetReplica(sel, numReplicas_);
-                abs_q = inst.queue + target * queueStride_;
-            } else {
-                abs_q = queueOffset_ + inst.queue;
-            }
-            ir::Value v;
-            if (inst.opcode == Opcode::kEnqCtrl ||
-                (inst.opcode == Opcode::kEnqDist && inst.src0 < 0)) {
-                v = ir::Value::makeControl(
-                    static_cast<uint32_t>(inst.imm));
-            } else {
-                v = regs_[static_cast<size_t>(inst.src0)];
-            }
-            if (!waitPush(abs_q, v))
-                return false;
-            pc_++;
-            return true;
-          }
-
-          case Opcode::kDeq: {
-            int abs_q = queueOffset_ + inst.queue;
-            ir::Value v;
-            if (!waitPop(abs_q, v))
-                return false;
-            regs_[static_cast<size_t>(inst.dst)] = v;
-            // Control-value handler: transfer when a control value is
-            // dequeued, exactly as the simulated hardware does.
-            if (v.isControl() && inst.handlerPc >= 0)
-                pc_ = inst.handlerPc;
-            else
-                pc_++;
-            return true;
-          }
-
-          case Opcode::kPeek: {
-            int abs_q = queueOffset_ + inst.queue;
-            ir::Value v;
-            if (!waitPeek(abs_q, v))
-                return false;
-            regs_[static_cast<size_t>(inst.dst)] = v;
-            pc_++;
-            return true;
-          }
-
-          default:
-            phloem_panic("not a queue op");
-        }
-    }
-
-    if (ir::usesArray(inst.opcode) && inst.opcode != Opcode::kSwapArr) {
-        sim::ArrayBuffer* buf = arrayBind_[static_cast<size_t>(inst.arr)];
-        ir::Value result;
-        bool is_rmw = inst.opcode == Opcode::kAtomicMin ||
-                      inst.opcode == Opcode::kAtomicAdd ||
-                      inst.opcode == Opcode::kAtomicFAdd ||
-                      inst.opcode == Opcode::kAtomicOr;
-        if (is_rmw) {
-            // applyMemOp implements RMWs as load+store; serialize them
-            // across stages so concurrent updates are not lost.
-            std::lock_guard<std::mutex> g(ctl_->atomicsMu);
-            result = sim::applyMemOp(inst, *buf, regs_.data());
-        } else {
-            result = sim::applyMemOp(inst, *buf, regs_.data());
-        }
-        if (inst.dst >= 0)
-            regs_[static_cast<size_t>(inst.dst)] = result;
-        pc_++;
-        return true;
-    }
-
-    switch (inst.opcode) {
-      case Opcode::kBarrier: {
-        pc_++;
-        if (!traceBuf)
-            return barrier_->arriveAndWait(*ctl_);
-        uint64_t t0 = traceBuf->now();
-        bool ok = barrier_->arriveAndWait(*ctl_);
-        traceBuf->record(trace::EventKind::kBarrierWait, -1, t0,
-                         traceBuf->now());
-        return ok;
-      }
-      case Opcode::kHalt:
-        return false;
-      case Opcode::kSwapArr:
-        std::swap(arrayBind_[static_cast<size_t>(inst.arr)],
-                  arrayBind_[static_cast<size_t>(inst.arr2)]);
-        pc_++;
-        return true;
-      default:
-        break;
-    }
-
-    ir::Value out = sim::evalScalarOp(inst, regs_.data());
-    if (inst.opcode == Opcode::kWork && inst.imm > 1) {
-        // The simulator charges kWork as `imm` uops; natively we burn the
-        // same amount of real compute. Only the first mix lands in the
-        // destination register so results stay bit-identical.
-        uint64_t burn = out.bits;
-        for (int64_t k = 1; k < inst.imm; ++k)
-            burn = sim::workMix(burn);
-        workSink_ += burn;
-    }
-    if (inst.dst >= 0)
-        regs_[static_cast<size_t>(inst.dst)] = out;
-    pc_++;
-    return true;
-}
-
-void
 StageWorker::run()
 {
-    if (ctl_->tier == TierMode::kJit && jit != nullptr) {
+    if (ctl_->opt.tier == TierMode::kJit && jit != nullptr) {
         stats.tier = "jit";
         runJit();
-    } else if (ctl_->useEngine) {
+    } else {
         // Includes per-stage JIT fallback: a stage whose artifact
         // failed to build runs on the engine (stats.jitFallback says
         // why; the runtime set it alongside a null `jit`).
         stats.tier = "engine";
         runEngine();
-    } else {
-        stats.tier = "interp";
-        runInterpreter();
     }
-    // Abnormal exits (watchdog, budget) throw past this point; they
+    // Abnormal exits (budget, failed ops) throw past this point; they
     // already recorded the block span they died in.
     if (traceBuf) {
         uint64_t t = traceBuf->now();
@@ -463,8 +162,8 @@ StageWorker::runEngine()
     try {
         engine.run();
     } catch (...) {
-        // Deadlock / budget throws still report buffered-but-undequeued
-        // values: the watchdog post-mortem keys on residual occupancy.
+        // Budget / bounds throws still report buffered-but-undequeued
+        // values: the failure post-mortem keys on residual occupancy.
         unconsumed = engine.unconsumed();
         throw;
     }
@@ -497,58 +196,6 @@ StageWorker::runJit()
     unconsumed = host.unconsumed();
 }
 
-void
-StageWorker::runInterpreter()
-{
-    const auto& code = prog_->code;
-    uint64_t heartbeat = 0;
-    for (;;) {
-        if (pc_ >= static_cast<int>(code.size()))
-            return;  // fell off the end: halt
-        stats.instructions++;
-        if (++heartbeat >= kHeartbeatInterval) {
-            // Long compute phases without queue ops must still look
-            // alive to blocked peers' watchdogs. Abort is polled here
-            // (and in every blocked wait) rather than per instruction.
-            ctl_->progress.fetch_add(1, std::memory_order_relaxed);
-            heartbeat = 0;
-            if (ctl_->aborted())
-                return;
-            if (stats.instructions > ctl_->opt.maxInstructions) {
-                std::string msg = "instruction budget exceeded (" +
-                                  std::to_string(ctl_->opt.maxInstructions) +
-                                  ") in " + stats.name;
-                ctl_->fail(msg);
-                throw std::runtime_error(msg);
-            }
-            // Shared pool: long compute phases must not monopolize the
-            // worker while runnable peers wait (no-op off the pool).
-            Scheduler::maybeYield();
-        }
-        const sim::Inst& inst = code[static_cast<size_t>(pc_)];
-        switch (inst.kind) {
-          case sim::Inst::Kind::kBr:
-            stats.branches++;
-            pc_ = inst.target;
-            break;
-          case sim::Inst::Kind::kBrIf:
-          case sim::Inst::Kind::kBrIfNot: {
-            stats.branches++;
-            bool truth =
-                regs_[static_cast<size_t>(inst.src0)].asInt() != 0;
-            bool taken =
-                inst.kind == sim::Inst::Kind::kBrIf ? truth : !truth;
-            pc_ = taken ? inst.target : pc_ + 1;
-            break;
-          }
-          case sim::Inst::Kind::kOp:
-            if (!execOp(inst))
-                return;
-            break;
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // RAWorker.
 // ---------------------------------------------------------------------
@@ -567,7 +214,6 @@ RAWorker::heartbeat(uint64_t n)
 {
     heartbeatCount_ += n;
     if (heartbeatCount_ >= kHeartbeatInterval) {
-        ctl_->progress.fetch_add(1, std::memory_order_relaxed);
         heartbeatCount_ = 0;
         // Shared pool: a streaming RA must not starve runnable peers.
         Scheduler::maybeYield();
@@ -584,37 +230,16 @@ RAWorker::waitPush(const ir::Value& v)
     outQ_->noteEnqBlocked();
     uint64_t t0 = traceBuf ? traceBuf->now() : 0;
     ParkTarget pt = makePushTarget(*outQ_, traceOutQ);
-    Backoff backoff(*ctl_);
-    for (;;) {
-        if (outQ_->tryPush(v)) {
-            ctl_->progress.fetch_add(1, std::memory_order_relaxed);
-            if (traceBuf)
-                traceBuf->record(trace::EventKind::kEnqBlock, traceOutQ,
-                                 t0, traceBuf->now());
-            return true;
-        }
-        // Stoppable: once every stage thread halted, whatever the RA
-        // still holds can never reach memory, so it just exits.
-        switch (backoff.step(*ctl_, /*stoppable=*/true, &pt)) {
-          case Backoff::Result::kRetry:
-            break;
-          case Backoff::Result::kStopped:
-            if (traceBuf)
-                traceBuf->record(trace::EventKind::kEnqBlock, traceOutQ,
-                                 t0, traceBuf->now());
-            return false;
-          case Backoff::Result::kDeadlock: {
-            if (traceBuf)
-                traceBuf->record(trace::EventKind::kEnqBlock, traceOutQ,
-                                 t0, traceBuf->now());
-            std::string msg =
-                "deadlock: " + stats.name + " blocked on enq with no "
-                "global progress";
-            ctl_->fail(msg);
-            return false;
-          }
-        }
-    }
+    Backoff backoff;
+    // Stoppable: once every stage task halted, whatever the RA still
+    // holds can never reach memory, so it just exits.
+    bool ok = true;
+    while (ok && !outQ_->tryPush(v))
+        ok = backoff.step(*ctl_, /*stoppable=*/true, pt);
+    if (traceBuf)
+        traceBuf->record(trace::EventKind::kEnqBlock, traceOutQ, t0,
+                         traceBuf->now());
+    return ok;
 }
 
 bool
@@ -627,32 +252,16 @@ RAWorker::waitPop(ir::Value& v)
     inQ_->noteDeqBlocked();
     uint64_t t0 = traceBuf ? traceBuf->now() : 0;
     ParkTarget pt = makePopTarget(*inQ_, traceInQ);
-    Backoff backoff(*ctl_);
-    for (;;) {
-        if (inQ_->tryPop(v)) {
-            ctl_->progress.fetch_add(1, std::memory_order_relaxed);
-            if (traceBuf)
-                traceBuf->record(trace::EventKind::kDeqBlock, traceInQ,
-                                 t0, traceBuf->now());
-            return true;
-        }
-        // An empty input after shutdown is the normal RA exit path, not
-        // a deadlock: RAs never see an end-of-stream value.
-        switch (backoff.step(*ctl_, /*stoppable=*/true, &pt)) {
-          case Backoff::Result::kRetry:
-            break;
-          case Backoff::Result::kStopped:
-            if (traceBuf)
-                traceBuf->record(trace::EventKind::kDeqBlock, traceInQ,
-                                 t0, traceBuf->now());
-            return false;
-          case Backoff::Result::kDeadlock:
-            if (traceBuf)
-                traceBuf->record(trace::EventKind::kDeqBlock, traceInQ,
-                                 t0, traceBuf->now());
-            return false;
-        }
-    }
+    Backoff backoff;
+    // An empty input after shutdown is the normal RA exit path, not a
+    // deadlock: RAs never see an end-of-stream value.
+    bool ok = true;
+    while (ok && !inQ_->tryPop(v))
+        ok = backoff.step(*ctl_, /*stoppable=*/true, pt);
+    if (traceBuf)
+        traceBuf->record(trace::EventKind::kDeqBlock, traceInQ, t0,
+                         traceBuf->now());
+    return ok;
 }
 
 bool
@@ -770,23 +379,15 @@ RAWorker::runLoop()
         }
 
         if (cfg_.mode == ir::RAMode::kIndirect) {
-            if (ctl_->useEngine) {
-                // Batched drain/emit: grab whatever run of indices the
-                // producer has already published alongside e, then load
-                // and publish the elements with pushBatch — one ring
-                // synchronization per run on each side instead of one
-                // per element.
-                ir::Value batch[kIndirectBatch];
-                batch[0] = e;
-                size_t n =
-                    1 + inQ_->popBatch(kIndirectBatch - 1, batch + 1);
-                if (!serviceIndirectBatch(batch, n))
-                    return;
-                continue;
-            }
-            ir::Value v = array_->load(e.asInt());
-            stats.raElements++;
-            if (!waitPush(v))
+            // Batched drain/emit: grab whatever run of indices the
+            // producer has already published alongside e, then load and
+            // publish the elements with pushBatch — one ring
+            // synchronization per run on each side instead of one per
+            // element.
+            ir::Value batch[kIndirectBatch];
+            batch[0] = e;
+            size_t n = 1 + inQ_->popBatch(kIndirectBatch - 1, batch + 1);
+            if (!serviceIndirectBatch(batch, n))
                 return;
         } else {
             if (phase == Phase::kIdle) {

@@ -1,21 +1,23 @@
 /**
  * @file
- * Native-runtime workers: the per-stage interpreter thread and the
- * software reference accelerator.
+ * Native-runtime workers: the per-stage task and the software reference
+ * accelerator.
  *
- * A StageWorker interprets the same sim::flatten instruction stream the
- * simulator executes, using the shared functional core (sim/eval.h), so
- * the two backends agree bit-for-bit. Queue ops block on the SPSC rings
- * with spin-then-yield backoff; control values arriving at a kDeq with a
- * handler transfer to the handler pc exactly as the simulated hardware
- * does.
+ * A StageWorker runs one stage's sim::flatten instruction stream through
+ * the pre-decoded engine (runtime/engine.h) or, on the JIT tier, its
+ * compiled artifact (runtime/jit.h); both use the shared functional core
+ * (sim/eval.h), so the native and simulated backends agree bit-for-bit.
+ * Queue ops block on the SPSC rings by spinning briefly, then parking
+ * the task on the ring's waiter list; control values arriving at a kDeq
+ * with a handler transfer to the handler pc exactly as the simulated
+ * hardware does.
  *
  * An RAWorker replays sim/machine.cc's RAEntity state machine in
  * software: indirect mode turns dequeued indices into loaded elements;
  * scan mode streams [start, end) ranges, optionally delimited with a
  * range control value. Control values pass through unchanged. RA workers
  * never write memory, so they can be shut down as soon as every stage
- * thread has halted.
+ * task has halted.
  */
 
 #ifndef PHLOEM_RUNTIME_WORKER_H
@@ -36,38 +38,16 @@
 
 namespace phloem::rt {
 
-/** Bump the global progress counter every this many instructions. */
+/**
+ * Poll abort, the instruction budget and cooperative yield every this
+ * many instructions.
+ */
 constexpr uint64_t kHeartbeatInterval = 4096;
 
-/** Stage execution engine selection (see runtime/engine.h). */
-enum class EngineMode : uint8_t {
-    /** Engine on unless the PHLOEM_NATIVE_ENGINE=0 env override. */
-    kAuto,
-    kOn,   ///< pre-decoded batching engine
-    kOff,  ///< raw sim::Inst interpreter (the pre-engine behavior)
-};
-
-/**
- * Stage execution tier (see runtime/jit.h). Subsumes EngineMode: the
- * engine on/off pair predates the JIT and is kept for compatibility —
- * an explicit `tier` wins over an explicit `engine`, and kAuto defers
- * to the PHLOEM_NATIVE_TIER / PHLOEM_NATIVE_ENGINE env overrides.
- */
+/** Stage execution tier (see runtime/jit.h). */
 enum class TierMode : uint8_t {
-    kAuto,
-    kInterp,  ///< raw sim::Inst interpreter
     kEngine,  ///< pre-decoded batching engine (the default)
     kJit,     ///< per-stage compiled code, engine fallback on failure
-};
-
-/** How stage/RA workers map onto host threads (see runtime/sched.h). */
-enum class SchedulerMode : uint8_t {
-    /** Shared pool unless the PHLOEM_SCHED=legacy env override. */
-    kAuto,
-    /** Tasks on the shared fixed-size work-stealing pool. */
-    kShared,
-    /** One dedicated OS thread per worker (differential fallback). */
-    kLegacy,
 };
 
 class Scheduler;
@@ -82,24 +62,19 @@ void schedWakeAll(SchedRun* run);
 struct RuntimeOptions
 {
     /**
-     * Abort the run when no worker makes progress for this long while
-     * some worker is blocked (a mis-compiled pipeline would otherwise
-     * hang the host). Progress = successful queue ops + periodic
-     * instruction-count heartbeats.
+     * Abort the run when every live task has stayed parked for this
+     * long (a mis-compiled pipeline would otherwise hang the host);
+     * enforced by the scheduler's all-parked monitor.
      */
     int deadlockTimeoutMs = 10000;
     /** Per-worker dynamic instruction budget (runaway-loop backstop). */
     uint64_t maxInstructions = 4'000'000'000ull;
-    /** Stage execution engine (decoded+batched vs raw interpreter). */
-    EngineMode engine = EngineMode::kAuto;
     /**
-     * Stage execution tier. kAuto resolves through `engine`, then the
-     * PHLOEM_NATIVE_TIER env override, then PHLOEM_NATIVE_ENGINE; an
-     * explicit tier here beats all of those. kJit compiles each stage
-     * program before the timed region and falls back per stage to the
-     * engine when emission/compilation/loading fails.
+     * Stage execution tier. kJit compiles each stage program before the
+     * timed region and falls back per stage to the engine when
+     * emission/compilation/loading fails.
      */
-    TierMode tier = TierMode::kAuto;
+    TierMode tier = TierMode::kEngine;
     /**
      * Stall-attribution tracer (trace.h), or null for no tracing. Must
      * outlive the run; the runtime registers one buffer per worker and
@@ -107,15 +82,13 @@ struct RuntimeOptions
      * no-op path (the zero-cost-off contract).
      */
     trace::Tracer* tracer = nullptr;
-    /** Task scheduling: shared pool (default) vs thread-per-stage. */
-    SchedulerMode scheduler = SchedulerMode::kAuto;
     /**
      * Shared-pool size hint; 0 = hardware_concurrency. Honored only by
      * the run that creates the process-wide pool (one machine, one
      * pool); use schedulerOverride for a private pool of a chosen size.
      */
     int schedWorkers = 0;
-    /** Work stealing between pool workers (shared mode). */
+    /** Work stealing between pool workers. */
     bool schedStealing = true;
     /**
      * Run on this scheduler instead of the process-wide shared pool.
@@ -132,25 +105,19 @@ struct RuntimeOptions
 };
 
 /**
- * Run-wide shared control state: the global progress counter feeding the
- * deadlock watchdog, the shutdown/abort flags, and the first error.
+ * Run-wide shared control state: the shutdown/abort flags and the first
+ * error.
  */
 struct RunControl
 {
     RuntimeOptions opt;
-    /** Resolved engine choice for this run (opt.engine + env override). */
-    bool useEngine = true;
-    /** Resolved execution tier (never kAuto once the run starts). */
-    TierMode tier = TierMode::kEngine;
 
-    /** Bumped on successful queue ops and every few k instructions. */
-    std::atomic<uint64_t> progress{0};
-    /** All stage threads have halted; RA workers drain and exit. */
+    /** All stage tasks have halted; RA workers drain and exit. */
     std::atomic<bool> stop{false};
-    /** A worker failed (exception, watchdog); everyone unwinds. */
+    /** A worker failed (exception, deadlock monitor); everyone unwinds. */
     std::atomic<bool> abortFlag{false};
 
-    /** This run's scheduler task group, or null in legacy mode. */
+    /** This run's scheduler task group (null for runSerial). */
     SchedRun* schedRun = nullptr;
 
     /** Serializes atomic read-modify-write memory ops across stages. */
@@ -182,38 +149,24 @@ struct RunControl
 };
 
 /**
- * Spin-then-yield backoff for one blocked queue op. Spins briefly with
- * cpu-relax, then yields; while yielding it watches the global progress
- * counter and trips the deadlock watchdog when nothing in the whole
- * runtime has advanced for opt.deadlockTimeoutMs.
+ * Spin-then-park backoff for one blocked queue op. Spins briefly with
+ * cpu-relax, then parks the calling task on the target's waiter list
+ * until the other side of the ring unparks it. Deadlock detection is
+ * the scheduler's all-parked monitor, whose fail() wakes every parked
+ * task so the next step observes the abort.
  */
 class Backoff
 {
   public:
-    explicit Backoff(RunControl& ctl);
-
-    enum class Result : uint8_t {
-        kRetry,     ///< try the queue op again
-        kStopped,   ///< runtime shut down (RA drain) or aborted
-        kDeadlock,  ///< watchdog fired: caller should report and abort
-    };
-
     /**
-     * One backoff step. `stoppable` waits also end on ctl.stop. On a
-     * scheduler task with a parkable target, the spin phase is capped
-     * and falls through to park/unpark (the wait then costs ~0 CPU and
-     * deadlock detection is the scheduler's all-parked monitor, which
-     * never returns kDeadlock from here). Off the pool, or with a null
-     * target/list, the legacy spin-yield-watchdog behavior applies.
+     * One backoff step: true = try the queue op again, false = the run
+     * aborted (or, for `stoppable` waits, shut down). Must run on a
+     * scheduler task with a parkable target.
      */
-    Result step(RunControl& ctl, bool stoppable,
-                const ParkTarget* pt = nullptr);
+    bool step(RunControl& ctl, bool stoppable, const ParkTarget& pt);
 
   private:
     int spins_ = 0;
-    uint64_t lastProgress_;
-    /** Monotonic ns timestamp of the last observed progress change. */
-    uint64_t lastChangeNs_;
 };
 
 /** ParkTarget for a producer blocked on a full ring. */
@@ -279,7 +232,7 @@ class StageBarrier
     WaitList waiters_;
 };
 
-/** One pipeline stage (or a serial function) on one host thread. */
+/** One pipeline stage (or a serial function) on one pool task. */
 class StageWorker
 {
   public:
@@ -289,7 +242,7 @@ class StageWorker
                 std::vector<SpscQueue*> queues, StageBarrier* barrier,
                 RunControl* ctl);
 
-    /** Thread body: interpret until halt, abort, or watchdog. */
+    /** Task body: execute until halt, abort, or budget. */
     void run();
 
     WorkerStats stats;
@@ -314,28 +267,18 @@ class StageWorker
     const JitArtifact* jit = nullptr;
 
     /**
-     * Engine/jit runs only: per-queue counts of values drained into the
-     * consumer batch buffer but never architecturally dequeued (pairs
-     * of absolute queue id, count). The runtime subtracts these from
+     * Per-queue counts of values drained into the consumer batch
+     * buffer but never architecturally dequeued (pairs of absolute
+     * queue id, count). The runtime subtracts these from
      * the ring's deq count and adds them to residual occupancy.
      */
     std::vector<std::pair<int, uint64_t>> unconsumed;
 
   private:
-    bool waitPush(int abs_q, const ir::Value& v);
-    bool waitPop(int abs_q, ir::Value& v);
-    bool waitPeek(int abs_q, ir::Value& v);
-    [[noreturn]] void reportDeadlock(const char* what, int abs_q);
-
-    /** Raw sim::Inst interpreter loop (engine off). */
-    void runInterpreter();
-    /** Decode + pre-decoded engine (engine on). */
+    /** Decode + pre-decoded engine. */
     void runEngine();
     /** Compiled stage program via the loaded artifact (jit tier). */
     void runJit();
-
-    /** Execute one kOp instruction; false => stop interpreting. */
-    bool execOp(const sim::Inst& inst);
 
     const sim::Program* prog_;
     int replica_;
@@ -346,15 +289,11 @@ class StageWorker
     StageBarrier* barrier_;
     RunControl* ctl_;
 
-    int pc_ = 0;
     std::vector<ir::Value> regs_;
     std::vector<sim::ArrayBuffer*> arrayBind_;
-
-    /** Sink for kWork's burned mixes; keeps the work loop observable. */
-    uint64_t workSink_ = 0;
 };
 
-/** One software reference accelerator on one host thread. */
+/** One software reference accelerator on one pool task. */
 class RAWorker
 {
   public:
@@ -362,7 +301,7 @@ class RAWorker
              sim::ArrayBuffer* array, SpscQueue* in_q, SpscQueue* out_q,
              RunControl* ctl);
 
-    /** Thread body: service requests until shutdown. */
+    /** Task body: service requests until shutdown. */
     void run();
 
     WorkerStats stats;
@@ -391,7 +330,7 @@ class RAWorker
     bool waitPop(ir::Value& v);
     /** Service a drained run of values in order; false on shutdown. */
     bool serviceIndirectBatch(const ir::Value* batch, size_t n);
-    /** Periodic progress bump so blocked peers' watchdogs stay fed. */
+    /** Periodic cooperative yield so streaming never starves peers. */
     void heartbeat(uint64_t n = 1);
 
     uint64_t heartbeatCount_ = 0;

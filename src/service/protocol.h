@@ -71,9 +71,9 @@ struct Request
     std::string kernel;          ///< function name; empty = first
     std::string backend = "native"; ///< "native" | "sim"
     /**
-     * Native stage execution tier: "" (server default, resolved from
-     * the daemon's environment) | "jit" | "engine" | "interp". "jit"
-     * pipelines cache their per-stage .so, so hits skip JIT codegen.
+     * Native stage execution tier: "" (server default: the engine) |
+     * "jit" | "engine". "jit" pipelines cache their per-stage .so, so
+     * hits skip JIT codegen.
      */
     std::string tier;
     int stages = 4;              ///< target stage count

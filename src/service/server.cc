@@ -466,18 +466,11 @@ Server::handleRun(const Request& req, double queueWaitNs)
     spec.opts.numStages = req.stages;
     spec.opts.maxRAs = opts_.cfg.maxRAs;
     spec.opts.maxQueues = opts_.cfg.maxQueues;
-    // Protocol tier -> runtime tier. "" stays kAuto: the daemon's
-    // environment decides, and no artifacts are attached to the cache
-    // entry. An explicit "jit" makes the compile carry the per-stage
-    // .so, so cache hits skip JIT codegen too (the key includes it).
-    rt::TierMode tier = rt::TierMode::kAuto;
-    if (req.tier == "jit") {
-        tier = rt::TierMode::kJit;
-    } else if (req.tier == "engine") {
-        tier = rt::TierMode::kEngine;
-    } else if (req.tier == "interp") {
-        tier = rt::TierMode::kInterp;
-    }
+    // Protocol tier -> runtime tier ("" and "engine" are the engine).
+    // "jit" makes the compile carry the per-stage .so, so cache hits
+    // skip JIT codegen too (the key includes it).
+    rt::TierMode tier =
+        req.tier == "jit" ? rt::TierMode::kJit : rt::TierMode::kEngine;
     spec.tier = tier;
 
     std::string key = cacheKey(opts_.cfg, spec);

@@ -378,15 +378,6 @@ runCase(const FuzzCase& fc, const OracleOptions& opts)
         rt::RuntimeOptions ro;
         ro.deadlockTimeoutMs = opts.nativeTimeoutMs;
         ro.maxInstructions = opts.maxInstructions;
-        // kAuto (not kOn) when enabled, so PHLOEM_NATIVE_ENGINE=0 can
-        // flip a whole fuzzing run to the interpreter from outside.
-        ro.engine = opts.nativeEngine ? rt::EngineMode::kAuto
-                                      : rt::EngineMode::kOff;
-        // kAuto (not kShared) for the same reason: PHLOEM_SCHED=legacy
-        // flips a whole fuzzing run off the pool from outside.
-        ro.scheduler = opts.nativeSharedScheduler
-                           ? rt::SchedulerMode::kAuto
-                           : rt::SchedulerMode::kLegacy;
         rt::Runtime runtime(cfg, ro);
         rt::NativeStats st =
             runtime.runPipeline(*cr.pipeline, native_binding);
@@ -420,12 +411,7 @@ runCase(const FuzzCase& fc, const OracleOptions& opts)
             rt::RuntimeOptions ro;
             ro.deadlockTimeoutMs = opts.nativeTimeoutMs;
             ro.maxInstructions = opts.maxInstructions;
-            // Explicit kJit, not kAuto: this leg exists to pin the JIT
-            // tier specifically, whatever the environment says.
             ro.tier = rt::TierMode::kJit;
-            ro.scheduler = opts.nativeSharedScheduler
-                               ? rt::SchedulerMode::kAuto
-                               : rt::SchedulerMode::kLegacy;
             rt::Runtime runtime(cfg, ro);
             rt::NativeStats st =
                 runtime.runPipeline(*cr.pipeline, jit_binding);

@@ -9,7 +9,7 @@
  *      interprets the unsplit function straight through sim/eval.h;
  *   2. cycle simulator  — Machine::runPipeline on the compiled pipeline
  *      (timing model on or off per the case's knobs);
- *   3. native runtime   — rt::Runtime::runPipeline on host threads;
+ *   3. native runtime   — rt::Runtime::runPipeline on the engine tier;
  *   4. (optional) the native runtime again with the JIT tier forced,
  *      so serial / sim / engine / jit all agree (OracleOptions::
  *      nativeJit).
@@ -54,22 +54,6 @@ struct OracleOptions
     uint64_t maxInstructions = 400'000'000ull;
     /** Native deadlock watchdog (ms); generated cases finish in ms. */
     int nativeTimeoutMs = 10000;
-    /**
-     * Run the native side with the pre-decoded batching engine (true,
-     * still subject to the PHLOEM_NATIVE_ENGINE=0 env override) or
-     * force the raw interpreter (false). Differential harnesses
-     * exercise both so the engine stays bit-identical to the legacy
-     * path.
-     */
-    bool nativeEngine = true;
-    /**
-     * Run the native side on the shared task pool (true) or on legacy
-     * thread-per-stage (false). Replaying the corpus in both modes
-     * pins the scheduler to bit-identical results — the pool is a
-     * different interleaving of the same program, never a different
-     * answer.
-     */
-    bool nativeSharedScheduler = true;
     /**
      * Fourth leg: run the native side again with the JIT tier forced
      * (rt::TierMode::kJit) and require that image to match the serial

@@ -722,60 +722,46 @@ TEST(NativeRuntime, HwCountsArithmetic)
 }
 
 // ---------------------------------------------------------------------
-// Pre-decoded engine vs raw interpreter.
+// Pre-decoded engine vs the simulator.
 // ---------------------------------------------------------------------
 
-TEST(NativeRuntime, EngineMatchesInterpreterOnCompiledPipeline)
+TEST(NativeRuntime, EngineMatchesSimulatorOnCompiledPipeline)
 {
+    // The engine may fuse and batch, but it must retire exactly the
+    // instruction stream the simulator executes. Branch totals are not
+    // compared: the simulator counts only conditional branches, the
+    // native profile counts unconditional ones too.
     auto kernel = fe::compileKernel(kFilterKernel);
-    comp::CompileOptions copts;
-    copts.numStages = 4;
-    auto res = comp::compilePipeline(*kernel.fn, copts);
-    ASSERT_TRUE(res.ok());
+    for (int stages : {2, 3, 4, 6}) {
+        SCOPED_TRACE("stages=" + std::to_string(stages));
+        comp::CompileOptions copts;
+        copts.numStages = stages;
+        auto res = comp::compilePipeline(*kernel.fn, copts);
+        ASSERT_TRUE(res.ok());
 
-    rt::RuntimeOptions on;
-    on.engine = rt::EngineMode::kOn;
-    sim::Binding eb;
-    setupFilter(eb);
-    rt::Runtime engine_rt(sim::SysConfig{}, on);
-    rt::NativeStats es = engine_rt.runPipeline(*res.pipeline, eb);
-    ASSERT_TRUE(es.ok) << es.error;
-    EXPECT_TRUE(es.engine);
+        sim::Binding eb;
+        setupFilter(eb);
+        rt::Runtime runtime;
+        rt::NativeStats es = runtime.runPipeline(*res.pipeline, eb);
+        ASSERT_TRUE(es.ok) << es.error;
+        EXPECT_EQ(es.tier, "engine");
 
-    rt::RuntimeOptions off;
-    off.engine = rt::EngineMode::kOff;
-    sim::Binding ib;
-    setupFilter(ib);
-    rt::Runtime interp_rt(sim::SysConfig{}, off);
-    rt::NativeStats is = interp_rt.runPipeline(*res.pipeline, ib);
-    ASSERT_TRUE(is.ok) << is.error;
-    EXPECT_FALSE(is.engine);
+        sim::Binding sb;
+        setupFilter(sb);
+        sim::Machine machine(test::testConfig());
+        sim::RunStats ss = machine.runPipeline(*res.pipeline, sb);
+        ASSERT_FALSE(ss.deadlock) << ss.deadlockInfo;
 
-    // Bit-identical memory and identical dynamic profiles: the engine
-    // may fuse and batch, but it must retire exactly the same
-    // instruction stream.
-    EXPECT_TRUE(ib.array("out")->contentEquals(*eb.array("out")));
-    EXPECT_EQ(es.totalInstructions(), is.totalInstructions());
-    EXPECT_EQ(es.totalBranches(), is.totalBranches());
-    EXPECT_EQ(es.totalOpCounts(), is.totalOpCounts());
+        EXPECT_TRUE(sb.array("out")->contentEquals(*eb.array("out")));
+        EXPECT_EQ(es.totalInstructions(), ss.totalInstructions());
+        uint64_t queue_ops = 0;
+        for (const auto& w : es.workers)
+            queue_ops += w.queueOps;
+        EXPECT_EQ(queue_ops, ss.totalQueueOps());
 
-    // The decoder must have found superinstruction sites (every lowered
-    // for-loop has a fusable cmp+brIfNot header), and every dequeue ran
-    // through popBatch.
-    uint64_t fused = 0;
-    for (const auto& w : es.workers)
-        fused += w.fusedSites;
-    EXPECT_GT(fused, 0u);
-    uint64_t pop_batches = 0;
-    for (const auto& q : es.queues)
-        pop_batches += q.popBatches;
-    EXPECT_GT(pop_batches, 0u);
-    EXPECT_GE(es.meanPopBatch(), 1.0);
-
-    // Per-worker profile invariant, in both modes: every retired
-    // instruction is either an opcode execution or a branch.
-    for (const rt::NativeStats* st : {&es, &is}) {
-        for (const auto& w : st->workers) {
+        // Per-worker profile invariant: every retired instruction is
+        // either an opcode execution or a branch.
+        for (const auto& w : es.workers) {
             if (!w.isStage)
                 continue;
             uint64_t sum = w.branches;
@@ -783,64 +769,20 @@ TEST(NativeRuntime, EngineMatchesInterpreterOnCompiledPipeline)
                 sum += c;
             EXPECT_EQ(sum, w.instructions) << w.name;
         }
+
+        // The decoder must have found superinstruction sites (every
+        // lowered for-loop has a fusable cmp+brIfNot header), and
+        // every dequeue ran through popBatch.
+        uint64_t fused = 0;
+        for (const auto& w : es.workers)
+            fused += w.fusedSites;
+        EXPECT_GT(fused, 0u);
+        uint64_t pop_batches = 0;
+        for (const auto& q : es.queues)
+            pop_batches += q.popBatches;
+        EXPECT_GT(pop_batches, 0u);
+        EXPECT_GE(es.meanPopBatch(), 1.0);
     }
-}
-
-TEST(NativeRuntime, EngineEnvToggleAndSerialEquivalence)
-{
-    auto kernel = fe::compileKernel(kFilterKernel);
-
-    sim::Binding b_off;
-    setupFilter(b_off);
-    ::setenv("PHLOEM_NATIVE_ENGINE", "0", 1);
-    rt::Runtime r_off;
-    rt::NativeStats s_off = r_off.runSerial(*kernel.fn, b_off);
-    ::unsetenv("PHLOEM_NATIVE_ENGINE");
-    ASSERT_TRUE(s_off.ok) << s_off.error;
-    EXPECT_FALSE(s_off.engine);
-
-    sim::Binding b_on;
-    setupFilter(b_on);
-    rt::Runtime r_on;
-    rt::NativeStats s_on = r_on.runSerial(*kernel.fn, b_on);
-    ASSERT_TRUE(s_on.ok) << s_on.error;
-    EXPECT_TRUE(s_on.engine) << "kAuto must default to the engine";
-
-    EXPECT_TRUE(b_off.array("out")->contentEquals(*b_on.array("out")));
-    EXPECT_EQ(s_off.totalInstructions(), s_on.totalInstructions());
-    EXPECT_EQ(s_off.totalOpCounts(), s_on.totalOpCounts());
-}
-
-TEST(NativeRuntime, EngineEnvAcceptsWordsAndRejectsGarbageSafely)
-{
-    // The env toggle must understand the words people actually type
-    // ("off", "false", case-insensitively), not just "0" — an operator
-    // setting PHLOEM_NATIVE_ENGINE=off and silently getting the engine
-    // anyway is the bug this pins down. Unrecognized values keep the
-    // default (engine on) rather than disabling it.
-    auto kernel = fe::compileKernel(kFilterKernel);
-    struct Case
-    {
-        const char* env;
-        bool engine;
-    };
-    const Case cases[] = {
-        {"off", false},   {"OFF", false},  {"false", false},
-        {"False", false}, {"0", false},    {"on", true},
-        {"ON", true},     {"true", true},  {"1", true},
-        {"bananas", true},  // warn-once, fall back to the default
-    };
-    for (const Case& c : cases) {
-        sim::Binding b;
-        setupFilter(b);
-        ::setenv("PHLOEM_NATIVE_ENGINE", c.env, 1);
-        rt::Runtime r;
-        rt::NativeStats s = r.runSerial(*kernel.fn, b);
-        ASSERT_TRUE(s.ok) << s.error;
-        EXPECT_EQ(s.engine, c.engine)
-            << "PHLOEM_NATIVE_ENGINE=" << c.env;
-    }
-    ::unsetenv("PHLOEM_NATIVE_ENGINE");
 }
 
 // ---------------------------------------------------------------------
@@ -898,48 +840,17 @@ TEST(NativeRuntime, JitMatchesEngineOnCompiledPipeline)
     }
 }
 
-TEST(NativeRuntime, TierEnvAcceptsWordsAndRejectsGarbageSafely)
+TEST(NativeRuntime, RunSerialHonorsExplicitTier)
 {
-    // PHLOEM_NATIVE_TIER follows the PHLOEM_NATIVE_ENGINE convention:
-    // the spellings people type work case-insensitively, and garbage
-    // warns once then falls through to the engine toggle's resolution
-    // (engine, here, since PHLOEM_NATIVE_ENGINE is unset).
     auto kernel = fe::compileKernel(kFilterKernel);
-    ::unsetenv("PHLOEM_NATIVE_ENGINE");
-    struct Case
-    {
-        const char* env;
-        const char* tier;
-    };
-    const Case cases[] = {
-        {"jit", "jit"},       {"JIT", "jit"},
-        {"engine", "engine"}, {"Engine", "engine"},
-        {"interp", "interp"}, {"INTERP", "interp"},
-        {"interpreter", "interp"},
-        {"bananas", "engine"},  // warn-once, fall through
-    };
-    for (const Case& c : cases) {
-        sim::Binding b;
-        setupFilter(b);
-        ::setenv("PHLOEM_NATIVE_TIER", c.env, 1);
-        rt::Runtime r;
-        rt::NativeStats s = r.runSerial(*kernel.fn, b);
-        ASSERT_TRUE(s.ok) << s.error;
-        EXPECT_EQ(s.tier, c.tier) << "PHLOEM_NATIVE_TIER=" << c.env;
-    }
-    ::unsetenv("PHLOEM_NATIVE_TIER");
-
-    // An explicit option always beats the environment.
-    ::setenv("PHLOEM_NATIVE_TIER", "jit", 1);
     sim::Binding b;
     setupFilter(b);
     rt::RuntimeOptions opt;
-    opt.tier = rt::TierMode::kInterp;
+    opt.tier = rt::TierMode::kJit;
     rt::Runtime r(sim::SysConfig{}, opt);
     rt::NativeStats s = r.runSerial(*kernel.fn, b);
     ASSERT_TRUE(s.ok) << s.error;
-    EXPECT_EQ(s.tier, "interp");
-    ::unsetenv("PHLOEM_NATIVE_TIER");
+    EXPECT_EQ(s.tier, "jit");
 }
 
 TEST(NativeRuntime, JitEmitterDenyFallsBackBitIdentical)
@@ -1243,38 +1154,6 @@ TEST(NativeRuntime, WatchdogPostMortemAttributesTheStall)
     EXPECT_TRUE(found);
 }
 
-TEST(NativeRuntime, WatchdogLegacyModeStillAborts)
-{
-    // The thread-per-stage fallback keeps its wall-time watchdog; a
-    // genuinely stuck pipeline must still abort there, not just on the
-    // scheduler's all-parked monitor.
-    auto pipeline = std::make_unique<ir::Pipeline>();
-    pipeline->name = "jam_legacy";
-    {
-        ir::FunctionBuilder b("jam");
-        ir::RegId n = b.scalarParam("n");
-        b.forRange(b.constI(0), n, [&](ir::RegId i) { b.enq(0, i); });
-        pipeline->stages.push_back(b.finish());
-    }
-    ir::QueueConfig qc;
-    qc.id = 0;
-    qc.depth = 4;
-    pipeline->queues.push_back(qc);
-
-    sim::Binding b;
-    b.setScalarInt("n", 64);
-
-    rt::RuntimeOptions opt;
-    opt.deadlockTimeoutMs = 100;
-    opt.scheduler = rt::SchedulerMode::kLegacy;
-    rt::Runtime runtime(sim::SysConfig{}, opt);
-    rt::NativeStats stats = runtime.runPipeline(*pipeline, b);
-    EXPECT_FALSE(stats.ok);
-    EXPECT_NE(stats.error.find("deadlock"), std::string::npos)
-        << stats.error;
-    EXPECT_FALSE(stats.sched.shared);
-}
-
 // ---------------------------------------------------------------------
 // Shared task-pool scheduler.
 // ---------------------------------------------------------------------
@@ -1315,7 +1194,6 @@ TEST(NativeRuntime, SchedulerOversubscribedLivePipelineIsNotKilled)
     rt::Scheduler pool(sopt);
 
     rt::RuntimeOptions opt;
-    opt.scheduler = rt::SchedulerMode::kShared;
     opt.schedulerOverride = &pool;
     opt.deadlockTimeoutMs = 30;
 
@@ -1345,38 +1223,58 @@ TEST(NativeRuntime, SchedulerOversubscribedLivePipelineIsNotKilled)
     EXPECT_TRUE(sb.array("out")->contentEquals(*nb.array("out")));
 }
 
-TEST(NativeRuntime, SchedulerAndLegacyAreBitIdentical)
+TEST(NativeRuntime, SchedulerPoolShapesAreBitIdentical)
 {
+    // The same pipeline on the shared pool, on a private one-worker
+    // pool (every task multiplexed onto one thread), and on a private
+    // four-worker pool without stealing: three interleavings of one
+    // program, which must never be three answers.
     auto kernel = fe::compileKernel(kFilterKernel);
     comp::CompileOptions copts;
     copts.numStages = 4;
     auto res = comp::compilePipeline(*kernel.fn, copts);
     ASSERT_TRUE(res.ok());
 
-    rt::RuntimeOptions shared;
-    shared.scheduler = rt::SchedulerMode::kShared;
-    sim::Binding pb;
-    setupFilter(pb);
-    rt::Runtime pooled(sim::SysConfig{}, shared);
-    rt::NativeStats ps = pooled.runPipeline(*res.pipeline, pb);
-    ASSERT_TRUE(ps.ok) << ps.error;
-    EXPECT_TRUE(ps.sched.shared);
+    rt::Scheduler::Options one_opt;
+    one_opt.workers = 1;
+    rt::Scheduler one(one_opt);
+    rt::Scheduler::Options four_opt;
+    four_opt.workers = 4;
+    four_opt.stealing = false;
+    rt::Scheduler four(four_opt);
 
-    rt::RuntimeOptions legacy;
-    legacy.scheduler = rt::SchedulerMode::kLegacy;
-    sim::Binding lb;
-    setupFilter(lb);
-    rt::Runtime threaded(sim::SysConfig{}, legacy);
-    rt::NativeStats ls = threaded.runPipeline(*res.pipeline, lb);
-    ASSERT_TRUE(ls.ok) << ls.error;
-    EXPECT_FALSE(ls.sched.shared);
+    struct Shape
+    {
+        const char* name;
+        rt::Scheduler* pool;
+    };
+    const Shape shapes[] = {
+        {"shared", nullptr}, {"one-worker", &one}, {"four-no-steal", &four}};
+    sim::Binding bindings[3];
+    rt::NativeStats stats[3];
+    for (int i = 0; i < 3; ++i) {
+        rt::RuntimeOptions opt;
+        opt.schedulerOverride = shapes[i].pool;
+        setupFilter(bindings[i]);
+        rt::Runtime runtime(sim::SysConfig{}, opt);
+        stats[i] = runtime.runPipeline(*res.pipeline, bindings[i]);
+        ASSERT_TRUE(stats[i].ok) << shapes[i].name << ": "
+                                 << stats[i].error;
+        EXPECT_TRUE(stats[i].sched.shared) << shapes[i].name;
+    }
+    EXPECT_EQ(stats[1].sched.poolSize, 1);
+    EXPECT_EQ(stats[2].sched.poolSize, 4);
+    EXPECT_FALSE(stats[2].sched.stealing);
 
-    // Scheduling must be invisible to the program: same memory image,
-    // same dynamic instruction profile.
-    EXPECT_TRUE(lb.array("out")->contentEquals(*pb.array("out")));
-    EXPECT_EQ(ps.totalInstructions(), ls.totalInstructions());
-    EXPECT_EQ(ps.totalBranches(), ls.totalBranches());
-    EXPECT_EQ(ps.totalOpCounts(), ls.totalOpCounts());
+    for (int i = 1; i < 3; ++i) {
+        SCOPED_TRACE(shapes[i].name);
+        EXPECT_TRUE(bindings[0].array("out")->contentEquals(
+            *bindings[i].array("out")));
+        EXPECT_EQ(stats[i].totalInstructions(),
+                  stats[0].totalInstructions());
+        EXPECT_EQ(stats[i].totalBranches(), stats[0].totalBranches());
+        EXPECT_EQ(stats[i].totalOpCounts(), stats[0].totalOpCounts());
+    }
 }
 
 TEST(NativeRuntime, SchedulerTwoConcurrentPipelinesShareOnePool)
@@ -1403,7 +1301,6 @@ TEST(NativeRuntime, SchedulerTwoConcurrentPipelinesShareOnePool)
         for (int i = 0; i < kRuns; ++i) {
             threads.emplace_back([&, i] {
                 rt::RuntimeOptions opt;
-                opt.scheduler = rt::SchedulerMode::kShared;
                 opt.schedulerOverride = &pool;
                 setupFilter(bindings[i]);
                 rt::Runtime runtime(sim::SysConfig{}, opt);

@@ -75,7 +75,7 @@ specFor(const char* source)
 /** Compile + native-run a spec, returning the output-image hash. */
 uint64_t
 runForHash(const driver::CompiledPipeline& cp, int64_t size,
-           rt::TierMode tier = rt::TierMode::kAuto)
+           rt::TierMode tier = rt::TierMode::kEngine)
 {
     sim::Binding binding;
     driver::synthesizeBinding(*cp.kernel.fn, size, binding);
@@ -308,13 +308,6 @@ TEST(ServiceProtocol, RequestRoundTripsThroughJson)
     EXPECT_EQ(back.timeoutMs, 1234);
     EXPECT_TRUE(back.noCache);
     EXPECT_EQ(back.tier, "jit");
-
-    // "interpreter" is normalized to the canonical "interp" at parse.
-    ASSERT_TRUE(svc::Request::fromJson(
-        R"({"op":"run","source":"x","tier":"interpreter"})", &back,
-        &err))
-        << err;
-    EXPECT_EQ(back.tier, "interp");
 }
 
 TEST(ServiceProtocol, RejectsMalformedRequests)
@@ -330,10 +323,18 @@ TEST(ServiceProtocol, RejectsMalformedRequests)
     // Out-of-range parameters are rejected, not clamped silently.
     EXPECT_FALSE(svc::Request::fromJson(
         R"({"op":"run","source":"x","stages":0})", &req, &err));
-    // An unrecognized tier is a protocol error, not a silent default.
-    EXPECT_FALSE(svc::Request::fromJson(
-        R"({"op":"run","source":"x","tier":"turbo"})", &req, &err));
-    EXPECT_NE(err.find("tier"), std::string::npos) << err;
+    // An unrecognized tier is a protocol error, not a silent default;
+    // so are the spellings of the removed interpreter tier.
+    for (const char* tier : {"turbo", "interp", "interpreter"}) {
+        err.clear();
+        EXPECT_FALSE(svc::Request::fromJson(
+            std::string(R"({"op":"run","source":"x","tier":")") + tier +
+                R"("})",
+            &req, &err))
+            << tier;
+        EXPECT_NE(err.find("tier must be"), std::string::npos)
+            << tier << ": " << err;
+    }
 }
 
 TEST(ServiceProtocol, FramingRejectsBadMagicAndOversize)
