@@ -46,9 +46,13 @@ classifyMetric(const std::string& path, bool isCounter)
         return {Direction::kInfo, 0.0};
     }
     // Scheduling noise: meaningful to read, meaningless to gate. Block
-    // counts, occupancy high-water marks, batch shapes, and trace-lane
-    // timings all vary run-to-run on a loaded host.
+    // counts, scheduler parks/unparks/steals/yields, occupancy
+    // high-water marks, batch shapes, and trace-lane timings all vary
+    // run-to-run on a loaded host. The pool's size and stealing flag
+    // are configuration and stay exact.
     if (contains(path, "lane[") || contains(leaf, "block") ||
+        leaf == "sched_parks" || leaf == "sched_unparks" ||
+        leaf == "sched_steals" || leaf == "sched_yields" ||
         contains(leaf, "occupancy") || contains(leaf, "residual") ||
         contains(leaf, "batch") || contains(leaf, "halts") ||
         contains(leaf, "events_dropped")) {

@@ -35,7 +35,8 @@ class Task;
 /**
  * A spinlocked list of tasks blocked on one condition (one side of a
  * ring, or a barrier). The lock is held only for pointer insert/remove;
- * wakers snapshot the list under the lock and unpark outside it.
+ * wakers take waiters off the list under the lock, a fixed-size batch
+ * at a time, and unpark them outside it.
  * Multi-producer rings can have several blocked producers, so this is
  * a list, not a slot.
  */
@@ -76,21 +77,31 @@ class WaitList
         unlock();
     }
 
-    /** Drain every waiter into out (caller unparks outside the lock). */
-    void
-    takeAll(std::vector<Task*>& out)
+    /**
+     * Deregister up to `cap` waiters into `out` and return how many
+     * (the caller unparks them outside the lock).
+     */
+    size_t
+    take(Task** out, size_t cap)
     {
         lock();
-        out.insert(out.end(), items_.begin(), items_.end());
-        items_.clear();
-        count_.store(0, std::memory_order_relaxed);
+        size_t n = items_.size() < cap ? items_.size() : cap;
+        for (size_t i = 0; i < n; ++i) {
+            out[i] = items_.back();
+            items_.pop_back();
+        }
+        count_.store(static_cast<int>(items_.size()),
+                     std::memory_order_relaxed);
         unlock();
+        return n;
     }
 
-    /** Snapshot waiters without deregistering them (wake all). */
+    /** Wake every waiter, kWakeBatch at a time; never allocates. */
     void wakeAll();  // defined in sched.cc (needs Scheduler::unpark)
 
   private:
+    static constexpr size_t kWakeBatch = 8;
+
     void
     lock()
     {

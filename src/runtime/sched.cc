@@ -3,14 +3,20 @@
  * Work-stealing fiber scheduler implementation. See sched.h for the
  * model and DESIGN.md §12 for the protocol write-up.
  *
- * Fibers are ucontext-based with heap stacks. Under ASan and TSan the
- * context switches are annotated with the sanitizer fiber API so the
- * CI sanitizer jobs see through them: ASan needs the fake-stack
- * save/restore pair around every swapcontext, TSan needs one fiber
- * handle per task (and per pool thread) and a switch notification
- * immediately before each swap. Without these, ASan reports bogus
- * stack-use-after-return and TSan loses the happens-before edges that
- * the scheduler's queue handoffs establish.
+ * Fibers run on heap stacks. On x86-64 a switch is the hand-written
+ * `phloem_fiber_switch` below: it saves the callee-saved GPRs, MXCSR
+ * and the x87 control word on the outgoing stack and restores them
+ * from the incoming one, with no syscall. swapcontext also saves the
+ * signal mask with an rt_sigprocmask syscall, which made a switch
+ * cost ~250 ns against ~15 ns on the 4-core host, and nothing in the
+ * repo relies on per-thread signal masks. Other architectures use
+ * ucontext. Under ASan and TSan every switch is annotated with the
+ * sanitizer fiber API so the CI sanitizer jobs see through it: ASan
+ * needs the fake-stack save/restore pair around every switch, TSan
+ * needs one fiber handle per task (and per pool thread) and a switch
+ * notification immediately before each swap. Without these, ASan
+ * reports bogus stack-use-after-return and TSan loses the
+ * happens-before edges that the scheduler's queue handoffs establish.
  */
 
 #include "runtime/sched.h"
@@ -64,6 +70,16 @@ constexpr size_t kTaskStackSize = 256 * 1024;
 /** Pool-size ceiling: a fat-finger guard, not a real limit. */
 constexpr int kMaxWorkers = 256;
 
+/**
+ * How many cpu-relax rounds an idle worker polls for work before it
+ * sleeps on the condvar. Waking a sleeping thread costs 2-7 us one-way
+ * on the 4-core host (2-3 us for a bare condvar ping-pong, 3.5-7 us
+ * through the pool); 2048 pauses at 15-21 ns each (30-43 us) cover
+ * several such wake-ups, so a pipeline's next handoff usually finds
+ * the worker still awake.
+ */
+constexpr int kIdleSpinRounds = 2048;
+
 uint64_t
 nowNs()
 {
@@ -74,6 +90,80 @@ nowNs()
 }
 
 std::atomic<Scheduler*> g_sharedSched{nullptr};
+
+} // namespace
+
+#if defined(__x86_64__)
+
+extern "C" {
+/** Save the caller's context on its stack, store its sp in *from_sp,
+ *  and resume the context whose sp is to_sp. */
+void phloem_fiber_switch(void** from_sp, void* to_sp);
+/** First return target of a fresh task stack: calls r13(r12). */
+void phloem_fiber_start();
+}
+
+// Saved frame, from the saved sp upwards: MXCSR (4 bytes), x87 control
+// word (2 bytes, padded to 4), r15, r14, r13, r12, rbx, rbp, return
+// address. The fresh-task frame built in Task::Task has the same shape.
+asm(R"(
+    .text
+    .globl phloem_fiber_switch
+    .hidden phloem_fiber_switch
+    .type phloem_fiber_switch, @function
+    .p2align 4
+phloem_fiber_switch:
+    pushq %rbp
+    pushq %rbx
+    pushq %r12
+    pushq %r13
+    pushq %r14
+    pushq %r15
+    subq $8, %rsp
+    stmxcsr (%rsp)
+    fnstcw 4(%rsp)
+    movq %rsp, (%rdi)
+    movq %rsi, %rsp
+    ldmxcsr (%rsp)
+    fldcw 4(%rsp)
+    addq $8, %rsp
+    popq %r15
+    popq %r14
+    popq %r13
+    popq %r12
+    popq %rbx
+    popq %rbp
+    ret
+    .size phloem_fiber_switch, .-phloem_fiber_switch
+
+    .globl phloem_fiber_start
+    .hidden phloem_fiber_start
+    .type phloem_fiber_start, @function
+    .p2align 4
+phloem_fiber_start:
+    .cfi_startproc
+    .cfi_undefined rip
+    movq %r12, %rdi
+    callq *%r13
+    ud2
+    .cfi_endproc
+    .size phloem_fiber_start, .-phloem_fiber_start
+)");
+
+#endif
+
+namespace {
+
+/** Swap the CPU context only (no sanitizer bookkeeping). */
+inline void
+swapFiberContext(FiberCtx& from, FiberCtx& to)
+{
+#if defined(__x86_64__)
+    phloem_fiber_switch(&from.sp, to.sp);
+#else
+    swapcontext(&from.uctx, &to.uctx);
+#endif
+}
 
 /**
  * Switch from fiber `from` to fiber `to` and eventually return when
@@ -90,7 +180,7 @@ switchFiber(FiberCtx& from, FiberCtx& to)
 #if defined(PHLOEM_TSAN)
     __tsan_switch_to_fiber(to.tsanFiber, 0);
 #endif
-    swapcontext(&from.uctx, &to.uctx);
+    swapFiberContext(from, to);
 #if defined(PHLOEM_ASAN)
     __sanitizer_finish_switch_fiber(from.fakeStack, nullptr, nullptr);
 #endif
@@ -110,7 +200,7 @@ switchFiberFinal(FiberCtx& from, FiberCtx& to)
 #if defined(PHLOEM_TSAN)
     __tsan_switch_to_fiber(to.tsanFiber, 0);
 #endif
-    swapcontext(&from.uctx, &to.uctx);
+    swapFiberContext(from, to);
     __builtin_unreachable();
 }
 
@@ -121,6 +211,7 @@ thread_local Task* Scheduler::tlsTask_ = nullptr;
 
 void taskEntry(Task* t);
 
+#if !defined(__x86_64__)
 namespace {
 
 /** makecontext trampoline: reassemble the Task* from two uints. */
@@ -133,6 +224,7 @@ taskTrampoline(unsigned hi, unsigned lo)
 }
 
 } // namespace
+#endif
 
 /** First (and every) activation of a task fiber lands here. */
 void
@@ -157,6 +249,26 @@ Task::Task(SchedRun* run, std::string name, bool is_stage,
 {
     fc_.stackBottom = stack_.get();
     fc_.stackSize = kTaskStackSize;
+#if defined(__x86_64__)
+    // Hand-built first frame in phloem_fiber_switch's saved layout:
+    // the first switch in "returns" into phloem_fiber_start with
+    // r12 = this and r13 = taskEntry, and rsp 16-byte aligned there
+    // so taskEntry starts with the ABI's call alignment.
+    const uint64_t frame[8] = {
+        0x1F80 | (uint64_t{0x037F} << 32),  // MXCSR, x87 control word
+        0,                                  // r15
+        0,                                  // r14
+        reinterpret_cast<uintptr_t>(&taskEntry),  // r13
+        reinterpret_cast<uintptr_t>(this),        // r12
+        0,                                  // rbx
+        0,                                  // rbp
+        reinterpret_cast<uintptr_t>(&phloem_fiber_start),  // return
+    };
+    auto top = reinterpret_cast<uintptr_t>(stack_.get() + kTaskStackSize);
+    auto* sp = reinterpret_cast<char*>((top & ~uintptr_t{15}) - sizeof frame);
+    std::memcpy(sp, frame, sizeof frame);
+    fc_.sp = sp;
+#else
     getcontext(&fc_.uctx);
     fc_.uctx.uc_stack.ss_sp = stack_.get();
     fc_.uctx.uc_stack.ss_size = kTaskStackSize;
@@ -165,6 +277,7 @@ Task::Task(SchedRun* run, std::string name, bool is_stage,
     makecontext(&fc_.uctx, reinterpret_cast<void (*)()>(&taskTrampoline), 2,
                 static_cast<unsigned>(p >> 32),
                 static_cast<unsigned>(p & 0xffffffffull));
+#endif
 #if defined(PHLOEM_TSAN)
     fc_.tsanFiber = __tsan_create_fiber(0);
 #endif
@@ -183,12 +296,18 @@ Task::~Task()
 void
 WaitList::wakeAll()
 {
-    std::vector<Task*> woke;
-    takeAll(woke);
-    // Route through the task's run (immutable) rather than its last
-    // worker (racy while another waker concurrently redispatches it).
-    for (Task* t : woke)
-        t->run_->scheduler().unpark(t);
+    // Drain in fixed-size batches so a wake never allocates; a full
+    // batch means there may be more, so take again.
+    Task* woke[kWakeBatch];
+    size_t n;
+    do {
+        n = take(woke, kWakeBatch);
+        // Route through the task's run (immutable) rather than its
+        // last worker (racy while another waker concurrently
+        // redispatches it).
+        for (size_t i = 0; i < n; ++i)
+            woke[i]->run_->scheduler().unpark(woke[i]);
+    } while (n == kWakeBatch);
 }
 
 // ------------------------------------------------------------ SchedRun
@@ -378,13 +497,15 @@ Scheduler::current()
     return tlsTask_;
 }
 
-int
-Scheduler::currentPoolSize()
+bool
+Scheduler::spinMayHelp()
 {
     Task* t = tlsTask_;
     if (t == nullptr)
-        return 0;
-    return static_cast<Worker*>(t->worker_)->sched->poolSize();
+        return false;
+    auto* w = static_cast<Worker*>(t->worker_);
+    return w->sched->poolSize() > 1 &&
+           w->size.load(std::memory_order_relaxed) == 0;
 }
 
 void
@@ -569,6 +690,32 @@ Scheduler::trySteal(Worker& w)
     return nullptr;
 }
 
+Task*
+Scheduler::findWork(Worker& w)
+{
+    Task* t = takeLocal(w);
+    if (t == nullptr)
+        t = takeGlobal();
+    if (t == nullptr && stealing_)
+        t = trySteal(w);
+    return t;
+}
+
+bool
+Scheduler::workVisible(const Worker& w) const
+{
+    if (globalSize_.load(std::memory_order_seq_cst) > 0 ||
+        w.size.load(std::memory_order_seq_cst) > 0)
+        return true;
+    if (stealing_) {
+        for (const auto& p : workers_) {
+            if (p->size.load(std::memory_order_seq_cst) > 0)
+                return true;
+        }
+    }
+    return false;
+}
+
 void
 Scheduler::workerLoop(Worker& w)
 {
@@ -592,11 +739,16 @@ Scheduler::workerLoop(Worker& w)
         pthread_attr_destroy(&attr);
     }
     for (;;) {
-        Task* t = takeLocal(w);
-        if (t == nullptr)
-            t = takeGlobal();
-        if (t == nullptr && stealing_)
-            t = trySteal(w);
+        Task* t = findWork(w);
+        // Hot idle window: poll before sleeping, so the next handoff
+        // of a running pipeline finds this worker awake. A polling
+        // worker is not counted in idleCount_, so wakers skip the
+        // futex while it polls.
+        for (int i = 0; t == nullptr && i < kIdleSpinRounds; ++i) {
+            cpuRelax();
+            if (workVisible(w))
+                t = findWork(w);
+        }
         if (t != nullptr) {
             dispatch(w, t);
             continue;
@@ -609,17 +761,7 @@ Scheduler::workerLoop(Worker& w)
         // counterpart): a submit that missed our idle count must be
         // visible to this scan, or its notify must reach our wait.
         std::atomic_thread_fence(std::memory_order_seq_cst);
-        bool work = globalSize_.load(std::memory_order_seq_cst) > 0 ||
-                    w.size.load(std::memory_order_seq_cst) > 0;
-        if (!work && stealing_) {
-            for (const auto& p : workers_) {
-                if (p->size.load(std::memory_order_seq_cst) > 0) {
-                    work = true;
-                    break;
-                }
-            }
-        }
-        if (!work)
+        if (!workVisible(w))
             idleCv_.wait_for(lk, std::chrono::milliseconds(50));
         idleCount_.fetch_sub(1, std::memory_order_seq_cst);
     }

@@ -5,10 +5,12 @@
  * Instead of one OS thread per pipeline stage per replica (which
  * oversubscribes the host as soon as pipelines are wide or phloemd
  * serves several requests at once), every stage/RA worker becomes a
- * resumable *task*: a stackful fiber (ucontext) scheduled onto a
- * fixed-size pool of OS workers, default `hardware_concurrency`, with
- * per-worker run queues and work stealing — the shape of ponyc's
- * runtime scheduler adapted to Phloem's decoupled pipelines.
+ * resumable *task*: a stackful fiber scheduled onto a fixed-size pool
+ * of OS workers, default `hardware_concurrency`, with per-worker run
+ * queues and work stealing — the shape of ponyc's runtime scheduler
+ * adapted to Phloem's decoupled pipelines. On x86-64 a fiber switch
+ * is a hand-written register swap with no syscall; other
+ * architectures use ucontext.
  *
  * Blocking keeps the SPSC-ring semantics bit-for-bit: a task that
  * finds a ring full/empty registers on the ring's waiter list
@@ -18,6 +20,14 @@
  * blocked producer's consumer on the same worker (the placement the
  * stall-attribution traces motivate: the stalled edge's two endpoints
  * share a cache).
+ *
+ * A queue hop should cost a handoff, not a wake-up. A blocked wait
+ * spins only when spinning can help: never on a one-worker pool, and
+ * never while its own worker holds a runnable task (usually the peer
+ * it just unparked), which cannot run until the spinner yields. An
+ * idle worker polls for work through a bounded hot window before it
+ * sleeps, so a wake usually lands on a running worker and skips the
+ * futex.
  *
  * Deadlock detection is scheduler-aware rather than a wall-time
  * heuristic: a run is deadlocked iff *every* live task is Parked
@@ -31,7 +41,9 @@
 #ifndef PHLOEM_RUNTIME_SCHED_H
 #define PHLOEM_RUNTIME_SCHED_H
 
+#if !defined(__x86_64__)
 #include <ucontext.h>
+#endif
 
 #include <atomic>
 #include <condition_variable>
@@ -76,10 +88,19 @@ enum class TaskState : uint8_t {
     kDone,
 };
 
-/** One fiber: ucontext + stack + sanitizer bookkeeping (sched.cc). */
+/**
+ * One fiber's saved context, stack bounds and sanitizer bookkeeping
+ * (sched.cc). On x86-64 the context is the saved stack pointer: a
+ * suspended fiber's callee-saved GPRs, MXCSR and x87 control word sit
+ * on its own stack just above it. Elsewhere it is a ucontext_t.
+ */
 struct FiberCtx
 {
+#if defined(__x86_64__)
+    void* sp = nullptr;
+#else
     ucontext_t uctx{};
+#endif
     void* stackBottom = nullptr;
     size_t stackSize = 0;
     /** ASan fake-stack handle saved across a suspension. */
@@ -258,13 +279,13 @@ class Scheduler
     static Task* current();
 
     /**
-     * Worker count of the pool running the calling task, or 0 when
-     * the caller is not on a task. Lets blocking waits skip the spin
-     * phase on a single-worker pool, where the peer task that would
-     * satisfy the wait shares the only worker and cannot run until
-     * the spinner yields.
+     * Whether a blocking wait on the calling task may spin before it
+     * parks. False off a task, on a one-worker pool, and when the
+     * task's own worker already holds a runnable task — usually the
+     * peer the caller just unparked there, which cannot run (and
+     * satisfy the wait) until the caller yields the worker.
      */
-    static int currentPoolSize();
+    static bool spinMayHelp();
 
     /**
      * Cooperative yield point (called from the instruction-count
@@ -309,6 +330,10 @@ class Scheduler
     };
 
     void workerLoop(Worker& w);
+    /** Next task for w: its own queue, the global queue, a steal. */
+    Task* findWork(Worker& w);
+    /** Whether findWork(w) could find something (size hints only). */
+    bool workVisible(const Worker& w) const;
     void dispatch(Worker& w, Task* t);
     void finishTask(Task* t);
     Task* takeLocal(Worker& w);

@@ -11,7 +11,12 @@ namespace phloem::rt {
 
 namespace {
 
-/** Spin this many times with cpuRelax before parking. */
+/**
+ * Spin this many times with cpuRelax before parking: 256 pauses at
+ * 15-21 ns each is 4-5.5 us, about one wake of a sleeping pool thread
+ * (2-7 us one-way on the 4-core host), so a peer running on another
+ * worker gets that long to answer before we pay a park.
+ */
 constexpr int kSpinLimit = 256;
 
 } // namespace
@@ -31,10 +36,9 @@ Backoff::step(RunControl& ctl, bool stoppable, const ParkTarget& pt)
     if (stoppable && ctl.stop.load(std::memory_order_acquire))
         return false;
 
-    // On a single-worker pool spinning is pure waste: the peer task
-    // that would satisfy this wait shares the only worker and cannot
-    // run until we yield, so park straight away.
-    if (spins_ == 0 && Scheduler::currentPoolSize() == 1)
+    // Spin only when spinning can help; otherwise park straight away
+    // so the worker runs whatever would satisfy this wait.
+    if (spins_ == 0 && !Scheduler::spinMayHelp())
         spins_ = kSpinLimit;
 
     if (spins_ < kSpinLimit) {

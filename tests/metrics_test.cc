@@ -316,9 +316,20 @@ TEST(Metrics, DiffNeverGatesSchedulingNoise)
     Report oldRep, newRep;
     oldRep.run("k").top.addCounter("enq_blocks", 100);
     newRep.run("k").top.addCounter("enq_blocks", 100000);
+    // Scheduler counters depend on timing too: two runs of one
+    // pipeline park, steal and yield different numbers of times.
+    const char* sched[] = {"sched_parks", "sched_unparks", "sched_steals",
+                           "sched_yields"};
+    for (const char* name : sched) {
+        oldRep.run("k").top.addCounter(name, 1775);
+        newRep.run("k").top.addCounter(name, 214);
+    }
     auto result = metrics::diffReports(oldRep, newRep, {});
     EXPECT_EQ(result.regressions, 0);
-    EXPECT_EQ(result.infoChanges, 1);
+    EXPECT_EQ(result.infoChanges, 5);
+    // The pool's stealing flag is configuration, not noise.
+    EXPECT_EQ(metrics::classifyMetric("k/sched_stealing", true).direction,
+              metrics::Direction::kExact);
 
     // ...unless an explicit override asks for it.
     metrics::DiffOptions opts;

@@ -1328,5 +1328,102 @@ TEST(NativeRuntime, SchedulerTwoConcurrentPipelinesShareOnePool)
     }
 }
 
+// ---------------------------------------------------------------------
+// Wake path: a closed loop over depth-1 rings.
+// ---------------------------------------------------------------------
+
+/**
+ * spmm's loop shape in three stages: `head` sends each index around
+ * head -> q0 -> mid -> q1 -> tail -> q2 -> head and waits for the reply
+ * before sending the next, so every hop finds its depth-1 ring empty
+ * and blocks. The reply for index i is (3i + 1) ^ i.
+ */
+ir::PipelinePtr
+buildRingCyclePipeline()
+{
+    auto pipeline = std::make_unique<ir::Pipeline>();
+    pipeline->name = "ring_cycle";
+    auto stage = [&](const char* name, auto&& body) {
+        ir::FunctionBuilder b(name);
+        ir::ArrayId out = b.arrayParam("out", ir::ElemType::kI64, true);
+        ir::RegId n = b.scalarParam("n");
+        b.forRange(b.constI(0), n, [&](ir::RegId i) { body(b, out, i); });
+        pipeline->stages.push_back(b.finish());
+    };
+    stage("head", [](ir::FunctionBuilder& b, ir::ArrayId out, ir::RegId i) {
+        b.enq(0, i);
+        b.store(out, i, b.deq(2, "reply"));
+    });
+    stage("mid", [](ir::FunctionBuilder& b, ir::ArrayId, ir::RegId) {
+        b.enq(1, b.add(b.mul(b.deq(0, "v"), b.constI(3)), b.constI(1)));
+    });
+    stage("tail", [](ir::FunctionBuilder& b, ir::ArrayId, ir::RegId i) {
+        b.enq(2, b.xor_(b.deq(1, "v"), i));
+    });
+    for (ir::QueueId q = 0; q < 3; ++q) {
+        ir::QueueConfig qc;
+        qc.id = q;
+        qc.depth = 1;
+        pipeline->queues.push_back(qc);
+    }
+    return pipeline;
+}
+
+TEST(NativeRuntime, ClosedLoopOverDepthOneRingsOnEveryPoolShape)
+{
+    // 40K round trips of 3 hops each: 120K blocking handoffs per pool
+    // shape, through every wake path — park at once on one worker or
+    // when the peer is queued locally, spin when it runs elsewhere,
+    // hot-idle pickup, steals, and the global queue without stealing.
+    constexpr int kTrips = 40000;
+    auto pipeline = buildRingCyclePipeline();
+
+    struct Shape
+    {
+        int workers;
+        bool stealing;
+    };
+    const Shape shapes[] = {{1, true}, {1, false}, {2, true},
+                            {2, false}, {4, true}, {4, false}};
+    rt::NativeStats first;
+    for (const Shape& shape : shapes) {
+        SCOPED_TRACE(std::to_string(shape.workers) + " workers, stealing " +
+                     (shape.stealing ? "on" : "off"));
+        rt::Scheduler::Options sopt;
+        sopt.workers = shape.workers;
+        sopt.stealing = shape.stealing;
+        rt::Scheduler pool(sopt);
+        rt::RuntimeOptions opt;
+        opt.schedulerOverride = &pool;
+
+        sim::Binding b;
+        auto* out = b.makeArray("out", ir::ElemType::kI64,
+                                static_cast<size_t>(kTrips));
+        b.setScalarInt("n", kTrips);
+        rt::Runtime runtime(sim::SysConfig{}, opt);
+        rt::NativeStats stats = runtime.runPipeline(*pipeline, b);
+        // A deadlock verdict fails the run with a "deadlock" error.
+        ASSERT_TRUE(stats.ok) << stats.error;
+        EXPECT_EQ(stats.sched.poolSize, shape.workers);
+        EXPECT_EQ(stats.sched.stealing, shape.stealing);
+
+        for (int64_t i = 0; i < kTrips; ++i)
+            ASSERT_EQ(out->atInt(static_cast<size_t>(i)), (3 * i + 1) ^ i)
+                << "index " << i;
+        uint64_t queue_ops = 0;
+        for (const auto& w : stats.workers)
+            queue_ops += w.queueOps;
+        EXPECT_EQ(queue_ops, 6u * kTrips);
+
+        if (&shape == &shapes[0]) {
+            first = stats;
+            continue;
+        }
+        EXPECT_EQ(stats.totalInstructions(), first.totalInstructions());
+        EXPECT_EQ(stats.totalBranches(), first.totalBranches());
+        EXPECT_EQ(stats.totalOpCounts(), first.totalOpCounts());
+    }
+}
+
 } // namespace
 } // namespace phloem
