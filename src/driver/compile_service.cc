@@ -3,8 +3,6 @@
 #include <chrono>
 
 #include "metrics/collect.h"
-#include "runtime/decode.h"
-#include "runtime/jit.h"
 #include "runtime/runtime.h"
 #include "sim/energy.h"
 #include "sim/machine.h"
@@ -73,31 +71,13 @@ compileSource(const CompileSpec& spec, std::string* err)
 
     try {
         cp->compiled = comp::compilePipeline(*cp->kernel.fn, opts);
-        // Pre-flatten each stage once (replicas share the program); a
+        // Prepare each stage once (replicas and runs share it); a
         // pipeline that failed verification is never executed, so its
-        // flattening is skipped rather than risked.
-        if (cp->compiled.ok()) {
-            cp->programs.reserve(cp->compiled.pipeline->stages.size());
-            for (const auto& stage : cp->compiled.pipeline->stages)
-                cp->programs.push_back(sim::flatten(*stage));
-            // Decode each stage's replica-independent DInst shape once
-            // too, so a cache hit skips decode as well as flattening.
-            cp->shapes.reserve(cp->programs.size());
-            for (const auto& prog : cp->programs)
-                cp->shapes.push_back(rt::decodeShape(prog));
-            // JIT tier: emit + compile each stage's native artifact up
-            // front so cached pipelines carry their .so. Failures are
-            // recorded in the artifact, not here — the runtime
-            // downgrades those stages to the engine.
-            cp->tier = spec.tier;
-            if (spec.tier == rt::TierMode::kJit) {
-                cp->jit.reserve(cp->programs.size());
-                for (size_t s = 0; s < cp->programs.size(); ++s)
-                    cp->jit.push_back(rt::jitCompileStage(
-                        cp->programs[s], cp->shapes[s],
-                        cp->compiled.pipeline->stages[s]->name));
-            }
-        }
+        // preparation is skipped rather than risked.
+        cp->prepared.tier = spec.tier;
+        if (cp->compiled.ok())
+            cp->prepared =
+                rt::preparePipeline(*cp->compiled.pipeline, spec.tier);
     } catch (const std::exception& e) {
         cp->error = e.what();
     }
@@ -156,20 +136,11 @@ runCompiled(const CompiledPipeline& cp, const RunSpec& spec,
         ropts.deadlockTimeoutMs = spec.deadlockTimeoutMs;
         ropts.maxInstructions = spec.maxInstructions;
         ropts.tracer = spec.tracer;
-        ropts.tier = spec.tier;
+        ropts.tier = cp.prepared.tier;
         ropts.requestId = spec.requestId;
         rt::Runtime runtime{spec.cfg, ropts};
-        rt::PreparedPrograms prep;
-        prep.programs = &cp.programs;
-        if (cp.shapes.size() == cp.programs.size())
-            prep.shapes = &cp.shapes;
-        // Cached artifacts only apply when this run actually wants the
-        // JIT tier; a mismatched tier just recompiles at run setup.
-        if (spec.tier == rt::TierMode::kJit &&
-            cp.jit.size() == cp.programs.size())
-            prep.jit = &cp.jit;
         out.native = runtime.runPipeline(*cp.compiled.pipeline, binding,
-                                         prep);
+                                         &cp.prepared);
         out.runNs = elapsedNs(t0, Clock::now());
         out.metricsRun = metrics::nativeRunToMetrics(name, out.native);
         out.ok = out.native.ok;

@@ -8,7 +8,7 @@
  * library so compiled pipelines can be cached and re-run without paying
  * frontend -> passes -> flatten again. A CompiledPipeline is immutable
  * after construction (the runtime reads the pipeline and the
- * pre-flattened stage programs through const pointers only), so one
+ * prepared stages through const references only), so one
  * instance can back any number of concurrent runs — the property the
  * service's pipeline cache depends on.
  */
@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "compiler/compiler.h"
 #include "frontend/frontend.h"
@@ -29,7 +28,6 @@
 #include "runtime/trace.h"
 #include "sim/binding.h"
 #include "sim/config.h"
-#include "sim/program.h"
 #include "sim/stats.h"
 
 namespace phloem::driver {
@@ -44,19 +42,19 @@ struct CompileSpec
     /** Pass/stage knobs. Pragma annotations are applied on top. */
     comp::CompileOptions opts;
     /**
-     * Execution tier the pipeline is being prepared for. kJit makes
-     * compileSource also emit + compile each stage's native artifact
-     * (the .so is cached alongside the pipeline, so service cache hits
-     * skip JIT codegen too). kEngine prepares nothing extra.
+     * Execution tier the pipeline is prepared for, and that native runs
+     * of it use. kJit makes compileSource also emit + compile each
+     * stage's native artifact (the .so is cached alongside the
+     * pipeline, so service cache hits skip JIT codegen too).
      */
     rt::TierMode tier = rt::TierMode::kEngine;
 };
 
 /**
  * One compiled pipeline, immutable after compileSource() returns: the
- * lowered kernel, the pipeline, and each stage's pre-flattened
- * sim::Program (what the native runtime would otherwise recompute per
- * run). Shared const across concurrent runs.
+ * lowered kernel, the pipeline, and each stage prepared for the spec's
+ * tier (what the native runtime would otherwise redo per run). Shared
+ * const across concurrent runs.
  */
 struct CompiledPipeline
 {
@@ -64,23 +62,14 @@ struct CompiledPipeline
     comp::CompileResult compiled;
     /** Options after applying the kernel's pragma annotations. */
     comp::CompileOptions effectiveOpts;
-    /** One flattened program per pipeline stage (replicas share). */
-    std::vector<sim::Program> programs;
     /**
-     * Pre-decoded replica-independent DInst shape per stage, built
-     * alongside `programs`: a cache hit skips decode, not just
-     * flattening (workers copy + relocate the shape per replica).
+     * Every stage flattened, decoded and, for CompileSpec::tier kJit,
+     * JIT-compiled (failed artifacts kept: the runtime downgrades those
+     * stages to the engine). Runs use its tier; a cache hit skips all
+     * of that work. Empty when the pipeline failed verification.
      */
-    std::vector<rt::DecodedProgram> shapes;
-    /**
-     * Per-stage JIT artifacts, non-empty only when the spec asked for
-     * TierMode::kJit. Failed entries are kept (the runtime downgrades
-     * those stages to the engine and reports the error in its stats).
-     */
-    std::vector<rt::JitArtifactPtr> jit;
-    /** Tier this pipeline was prepared for (CompileSpec::tier). */
-    rt::TierMode tier = rt::TierMode::kEngine;
-    /** Wall time of frontend + passes + flatten, in nanoseconds. */
+    rt::PreparedPipeline prepared;
+    /** Wall time of frontend + passes + preparation, in nanoseconds. */
     double compileNs = 0.0;
     /**
      * Non-empty when the pass pipeline threw after a successful
@@ -122,12 +111,6 @@ struct RunSpec
     /** Optional stall-attribution tracer (must outlive the run). */
     trace::Tracer* tracer = nullptr;
     /**
-     * Stage execution tier (native backend only). When kJit and the
-     * pipeline was compiled with tier kJit, the cached artifacts are
-     * reused; otherwise the run compiles them on entry.
-     */
-    rt::TierMode tier = rt::TierMode::kEngine;
-    /**
      * Request id threaded from the service (RuntimeOptions.requestId):
      * tags watchdog errors and trace metadata so service spans and
      * runtime stalls correlate per request. Empty outside the daemon.
@@ -163,10 +146,10 @@ void synthesizeBinding(const ir::Function& fn, int64_t size,
 
 /**
  * Execute a compiled pipeline over an already-synthesized binding.
- * Native runs reuse the pipeline's pre-flattened programs (no
- * per-request flatten); sim runs include the Fig. 11 energy gauges in
- * the metrics run. Deadlocks and worker failures come back as
- * ok=false with the backend's diagnostic.
+ * Native runs use the pipeline's prepared stages and their tier (no
+ * per-request flatten, decode or codegen); sim runs include the
+ * Fig. 11 energy gauges in the metrics run. Deadlocks and worker
+ * failures come back as ok=false with the backend's diagnostic.
  */
 ExecOutcome runCompiled(const CompiledPipeline& cp, const RunSpec& spec,
                        sim::Binding& binding);

@@ -238,16 +238,4 @@ relocateProgram(DecodedProgram& dp, int queue_offset,
     }
 }
 
-DecodedProgram
-decodeProgram(const sim::Program& prog, int queue_offset,
-              int queue_stride, int num_replicas,
-              const std::vector<SpscQueue*>& queues)
-{
-    (void)queue_stride;
-    (void)num_replicas;
-    DecodedProgram out = decodeShape(prog);
-    relocateProgram(out, queue_offset, queues);
-    return out;
-}
-
 } // namespace phloem::rt

@@ -7,15 +7,15 @@
  * classification chain (usesQueue / usesArray), a full opcode switch,
  * and a `queueOffset_ + inst.queue` pointer lookup on every dynamic
  * instruction. Decoding performs all of that classification once per
- * stage at pipeline setup:
+ * stage, when the stage is prepared (runtime.h):
  *
  *  - every instruction is mapped to a small dispatch code (DOp) that a
  *    handler table indexes directly — one indirect call replaces the
  *    nested switches;
- *  - queue operands are resolved to absolute SpscQueue pointers (the
- *    replica-strided arithmetic happens at decode time; only kEnqDist,
- *    whose target depends on a runtime value, still selects a ring per
- *    element);
+ *  - queue operands are resolved to absolute SpscQueue pointers when
+ *    a worker relocates its copy of the shape (the replica-strided
+ *    arithmetic happens then; only kEnqDist, whose target depends on a
+ *    runtime value, still selects a ring per element);
  *  - the dominant adjacent pairs the flattener emits are fused into
  *    superinstructions (see kFusedOps below) so loop headers, backedges,
  *    and produce-enqueue bodies cost one dispatch instead of two.
@@ -104,8 +104,8 @@ struct DInst
     /**
      * Replica-relative queue id (the raw instruction's queue operand);
      * -1 when no queue. Survives relocation, so one decoded shape can
-     * be re-based for any replica or run (the compilation service
-     * caches shapes and the JIT bakes this id into emitted code).
+     * be re-based for any replica or run (prepared pipelines share
+     * shapes and the JIT bakes this id into emitted code).
      */
     int32_t queueRel = -1;
     /** Absolute (replica-resolved) queue id; -1 until relocated. */
@@ -132,8 +132,8 @@ struct DecodedProgram
  * Decode one stage's flat program into its replica-independent shape:
  * classification, fusion, and control-flow validation, with queue
  * operands kept as relative ids (queueRel/queueBase) and absQ/q left
- * unresolved. A shape can be cached and shared (the compilation
- * service decodes once per pipeline, not once per worker per run) —
+ * unresolved. Each stage is decoded once when it is prepared
+ * (runtime.h), and every replica of every run shares that shape —
  * relocateProgram() re-bases a copy for a concrete replica.
  *
  * The returned DecodedProgram stores pointers into `prog.code`; the
@@ -146,19 +146,10 @@ DecodedProgram decodeShape(const sim::Program& prog);
  * queue window: absQ = queue_offset + queueRel, q = queues[absQ].
  * `queues` may be empty for serial functions (which the runtime
  * verifies contain no queue ops). Idempotent on a fresh copy of a
- * cached shape; kEnqDist stays runtime-selected (queueBase only).
+ * shared shape; kEnqDist stays runtime-selected (queueBase only).
  */
 void relocateProgram(DecodedProgram& dp, int queue_offset,
                      const std::vector<SpscQueue*>& queues);
-
-/**
- * Decode one stage's flat program for one replica: decodeShape +
- * relocateProgram in one step (the per-worker path when no cached
- * shape is available).
- */
-DecodedProgram decodeProgram(const sim::Program& prog, int queue_offset,
-                             int queue_stride, int num_replicas,
-                             const std::vector<SpscQueue*>& queues);
 
 } // namespace phloem::rt
 

@@ -1,135 +1,11 @@
 #include "runtime/engine.h"
 
-#include <stdexcept>
+#include <mutex>
+#include <utility>
 
-#include "base/logging.h"
-#include "ir/op.h"
-#include "runtime/sched.h"
 #include "sim/eval.h"
 
 namespace phloem::rt {
-
-Engine::Engine(const DecodedProgram& prog, const EngineEnv& env)
-    : prog_(prog), env_(env)
-{
-    phloem_assert(env_.regs != nullptr && env_.ctl != nullptr &&
-                      env_.stats != nullptr && env_.queues != nullptr,
-                  "engine env incomplete");
-    bufs_.resize(env_.queues->size());
-}
-
-// ---------------------------------------------------------------------
-// Bookkeeping.
-// ---------------------------------------------------------------------
-
-bool
-Engine::slowTick()
-{
-    // Abort and the instruction budget are polled here rather than per
-    // instruction.
-    heartbeat_ = 0;
-    if (env_.ctl->aborted())
-        return false;
-    if (env_.stats->instructions > env_.ctl->opt.maxInstructions) {
-        std::string msg = "instruction budget exceeded (" +
-                          std::to_string(env_.ctl->opt.maxInstructions) +
-                          ") in " + env_.stats->name;
-        env_.ctl->fail(msg);
-        throw std::runtime_error(msg);
-    }
-    // Shared pool: long compute phases must not monopolize the worker
-    // while runnable peers wait (no-op off the pool).
-    Scheduler::maybeYield();
-    return true;
-}
-
-inline bool
-Engine::tick(uint64_t n)
-{
-    env_.stats->instructions += n;
-    heartbeat_ += n;
-    if (heartbeat_ >= kHeartbeatInterval)
-        return slowTick();
-    return true;
-}
-
-// ---------------------------------------------------------------------
-// Blocking queue primitives.
-// ---------------------------------------------------------------------
-
-bool
-Engine::waitPush(SpscQueue& q, int abs_q, const ir::Value& v)
-{
-    if (q.tryPush(v))
-        return true;
-    q.noteEnqBlocked();
-    uint64_t t0 = env_.trace ? env_.trace->now() : 0;
-    ParkTarget pt = makePushTarget(q, abs_q);
-    Backoff backoff;
-    bool ok = true;
-    while (ok && !q.tryPush(v))
-        ok = backoff.step(*env_.ctl, /*stoppable=*/false, pt);
-    if (env_.trace)
-        env_.trace->record(trace::EventKind::kEnqBlock, abs_q, t0,
-                           env_.trace->now());
-    return ok;
-}
-
-bool
-Engine::popValue(const DInst& d, ir::Value& v)
-{
-    ConsumerBuf& b = bufs_[static_cast<size_t>(d.absQ)];
-    if (b.pos < b.len) {
-        v = b.data[b.pos++];
-        return true;
-    }
-    if (!b.data)
-        b.data = std::make_unique<ir::Value[]>(kBatchCap);
-    size_t n = d.q->popBatch(kBatchCap, b.data.get());
-    if (n == 0) {
-        d.q->noteDeqBlocked();
-        uint64_t t0 = env_.trace ? env_.trace->now() : 0;
-        ParkTarget pt = makePopTarget(*d.q, d.absQ);
-        Backoff backoff;
-        bool ok = true;
-        while (ok && (n = d.q->popBatch(kBatchCap, b.data.get())) == 0)
-            ok = backoff.step(*env_.ctl, /*stoppable=*/false, pt);
-        if (env_.trace)
-            env_.trace->record(trace::EventKind::kDeqBlock, d.absQ, t0,
-                               env_.trace->now());
-        if (!ok)
-            return false;
-    }
-    b.len = static_cast<uint32_t>(n);
-    b.pos = 1;
-    v = b.data[0];
-    return true;
-}
-
-bool
-Engine::peekValue(const DInst& d, ir::Value& v)
-{
-    // Peek must not consume, so it never triggers a refill: serve the
-    // buffer front when one is pending, otherwise read the ring front.
-    const ConsumerBuf& b = bufs_[static_cast<size_t>(d.absQ)];
-    if (b.pos < b.len) {
-        v = b.data[b.pos];
-        return true;
-    }
-    if (d.q->tryPeek(v))
-        return true;
-    d.q->noteDeqBlocked();
-    uint64_t t0 = env_.trace ? env_.trace->now() : 0;
-    ParkTarget pt = makePopTarget(*d.q, d.absQ, "peek");
-    Backoff backoff;
-    bool ok = true;
-    while (ok && !d.q->tryPeek(v))
-        ok = backoff.step(*env_.ctl, /*stoppable=*/false, pt);
-    if (env_.trace)
-        env_.trace->record(trace::EventKind::kDeqBlock, d.absQ, t0,
-                           env_.trace->now());
-    return ok;
-}
 
 // ---------------------------------------------------------------------
 // Handlers.
@@ -306,13 +182,7 @@ Engine::hBarrier(Engine& e, const DInst& d)
         return false;
     e.env_.stats->opCounts[static_cast<size_t>(d.opcode)]++;
     e.pc_++;
-    if (!e.env_.trace)
-        return e.env_.barrier->arriveAndWait(*e.env_.ctl);
-    uint64_t t0 = e.env_.trace->now();
-    bool ok = e.env_.barrier->arriveAndWait(*e.env_.ctl);
-    e.env_.trace->record(trace::EventKind::kBarrierWait, -1, t0,
-                         e.env_.trace->now());
-    return ok;
+    return e.barrier();
 }
 
 bool
@@ -322,7 +192,7 @@ Engine::hEnq(Engine& e, const DInst& d)
         return false;
     e.env_.stats->queueOps++;
     e.env_.stats->opCounts[static_cast<size_t>(d.opcode)]++;
-    if (!e.waitPush(*d.q, d.absQ,
+    if (!e.push(*d.q, d.absQ,
                     e.env_.regs[static_cast<size_t>(d.src0)]))
         return false;
     e.pc_++;
@@ -336,7 +206,7 @@ Engine::hEnqCtrl(Engine& e, const DInst& d)
         return false;
     e.env_.stats->queueOps++;
     e.env_.stats->opCounts[static_cast<size_t>(d.opcode)]++;
-    if (!e.waitPush(*d.q, d.absQ,
+    if (!e.push(*d.q, d.absQ,
                     ir::Value::makeControl(static_cast<uint32_t>(d.imm))))
         return false;
     e.pc_++;
@@ -350,14 +220,13 @@ Engine::hEnqDist(Engine& e, const DInst& d)
         return false;
     e.env_.stats->queueOps++;
     e.env_.stats->opCounts[static_cast<size_t>(d.opcode)]++;
-    int64_t sel = e.env_.regs[static_cast<size_t>(d.src1)].asInt();
-    int target = sim::distTargetReplica(sel, e.env_.numReplicas);
-    int abs_q = d.queueBase + target * e.env_.queueStride;
-    SpscQueue& q = *(*e.env_.queues)[static_cast<size_t>(abs_q)];
+    int abs_q = e.distQueue(
+        d.queueBase, e.env_.regs[static_cast<size_t>(d.src1)].asInt());
+    SpscQueue& q = e.queue(abs_q);
     ir::Value v =
         d.src0 < 0 ? ir::Value::makeControl(static_cast<uint32_t>(d.imm))
                    : e.env_.regs[static_cast<size_t>(d.src0)];
-    if (!e.waitPush(q, abs_q, v))
+    if (!e.push(q, abs_q, v))
         return false;
     e.pc_++;
     return true;
@@ -371,7 +240,7 @@ Engine::hDeq(Engine& e, const DInst& d)
     e.env_.stats->queueOps++;
     e.env_.stats->opCounts[static_cast<size_t>(d.opcode)]++;
     ir::Value v;
-    if (!e.popValue(d, v))
+    if (!e.pop(*d.q, d.absQ, v))
         return false;
     e.env_.regs[static_cast<size_t>(d.dst)] = v;
     // Control-value handler: transfer when a control value is dequeued,
@@ -391,7 +260,7 @@ Engine::hPeek(Engine& e, const DInst& d)
     e.env_.stats->queueOps++;
     e.env_.stats->opCounts[static_cast<size_t>(d.opcode)]++;
     ir::Value v;
-    if (!e.peekValue(d, v))
+    if (!e.peek(*d.q, d.absQ, v))
         return false;
     e.env_.regs[static_cast<size_t>(d.dst)] = v;
     e.pc_++;
@@ -439,7 +308,7 @@ Engine::hScalarEnq(Engine& e, const DInst& d)
     e.env_.stats->opCounts[static_cast<size_t>(d.opcode2)]++;
     ir::Value out = sim::evalScalarOp(*d.raw, e.env_.regs);
     e.env_.regs[static_cast<size_t>(d.dst)] = out;
-    if (!e.waitPush(*d.q, d.absQ, out))
+    if (!e.push(*d.q, d.absQ, out))
         return false;
     e.pc_ += 2;
     return true;
@@ -457,7 +326,7 @@ Engine::hLoadEnq(Engine& e, const DInst& d)
     int64_t idx = e.env_.regs[static_cast<size_t>(d.src0)].asInt();
     ir::Value out = buf->load(idx);
     e.env_.regs[static_cast<size_t>(d.dst)] = out;
-    if (!e.waitPush(*d.q, d.absQ, out))
+    if (!e.push(*d.q, d.absQ, out))
         return false;
     e.pc_ += 2;
     return true;
@@ -498,19 +367,6 @@ Engine::run()
         if (!kDispatch[static_cast<size_t>(d.op)](*this, d))
             return;
     }
-}
-
-std::vector<std::pair<int, uint64_t>>
-Engine::unconsumed() const
-{
-    std::vector<std::pair<int, uint64_t>> out;
-    for (size_t q = 0; q < bufs_.size(); ++q) {
-        const ConsumerBuf& b = bufs_[q];
-        if (b.pos < b.len)
-            out.emplace_back(static_cast<int>(q),
-                             static_cast<uint64_t>(b.len - b.pos));
-    }
-    return out;
 }
 
 } // namespace phloem::rt

@@ -9,17 +9,10 @@
  * and fused superinstructions retire the flattener's dominant pairs in
  * one dispatch.
  *
- * Dequeues additionally drain the ring in batches: a blocked-or-empty
- * consumer refills a small per-queue buffer with SpscQueue::popBatch —
- * one acquire/release pair per run of values instead of one per element
- * — and subsequent deqs are served from the buffer. Buffering is
- * consumer-side only: values a stage *produces* are always published
- * immediately (blocking semantics and deadlock detection depend on
- * enqueued values being visible to peers), while values already
- * published by a peer may be drained eagerly without changing any
- * observable ordering. Values drained but never architecturally
- * dequeued when the stage halts are reported via unconsumed() so queue
- * statistics (deq counts, residual occupancy) stay truthful.
+ * Blocking queue ops, consumer-side batching, instruction accounting
+ * and the barrier come from StageContext (runtime/worker.h), which the
+ * JIT host shares; this file is only the dispatch loop and its
+ * handlers.
  *
  * Semantics are bit-identical to the simulator's: both run the same
  * sim/eval.h functional core over the same flattened program, and
@@ -31,37 +24,19 @@
 #ifndef PHLOEM_RUNTIME_ENGINE_H
 #define PHLOEM_RUNTIME_ENGINE_H
 
-#include <memory>
-#include <utility>
-#include <vector>
-
 #include "runtime/decode.h"
-#include "runtime/queue.h"
-#include "runtime/stats.h"
 #include "runtime/worker.h"
-#include "sim/binding.h"
 
 namespace phloem::rt {
 
-/** Borrowed per-stage execution state the engine operates on. */
-struct EngineEnv
-{
-    ir::Value* regs = nullptr;
-    sim::ArrayBuffer** arrayBind = nullptr;
-    const std::vector<SpscQueue*>* queues = nullptr;
-    StageBarrier* barrier = nullptr;
-    RunControl* ctl = nullptr;
-    WorkerStats* stats = nullptr;
-    /** Owning worker's trace ring, or null when tracing is off. */
-    trace::TraceBuffer* trace = nullptr;
-    int queueStride = 0;
-    int numReplicas = 1;
-};
-
-class Engine
+class Engine : public StageContext
 {
   public:
-    Engine(const DecodedProgram& prog, const EngineEnv& env);
+    /** `prog` must be relocated for the env's queue window. */
+    Engine(const DecodedProgram& prog, const StageEnv& env)
+        : StageContext(env), prog_(prog)
+    {
+    }
 
     /**
      * Execute until halt or abort. Throws on instruction-budget
@@ -70,37 +45,9 @@ class Engine
      */
     void run();
 
-    /**
-     * Per-queue counts of values drained into the consumer buffer but
-     * never dequeued by the program (pairs of absolute queue id,
-     * count). Valid after run() returns.
-     */
-    std::vector<std::pair<int, uint64_t>> unconsumed() const;
-
   private:
     using Handler = bool (*)(Engine&, const DInst&);
     static const Handler kDispatch[kNumDOps];
-
-    /** Values drained per popBatch refill (and buffer capacity). */
-    static constexpr size_t kBatchCap = 256;
-
-    struct ConsumerBuf
-    {
-        std::unique_ptr<ir::Value[]> data;
-        uint32_t pos = 0;
-        uint32_t len = 0;
-    };
-
-    // --- Bookkeeping ------------------------------------------------
-    /** Count n retired instructions; false when the run aborted. */
-    bool tick(uint64_t n);
-    bool slowTick();
-
-    // --- Blocking queue primitives ----------------------------------
-    bool waitPush(SpscQueue& q, int abs_q, const ir::Value& v);
-    /** Buffered pop: serve from the batch buffer, refilling as needed. */
-    bool popValue(const DInst& d, ir::Value& v);
-    bool peekValue(const DInst& d, ir::Value& v);
 
     // --- Handlers (indexed by DOp) ----------------------------------
     static bool hEnd(Engine& e, const DInst& d);
@@ -127,14 +74,7 @@ class Engine
     static bool hLoadEnq(Engine& e, const DInst& d);
 
     const DecodedProgram& prog_;
-    EngineEnv env_;
-
     int32_t pc_ = 0;
-    uint64_t heartbeat_ = 0;
-    /** Sink for kWork's burned mixes; keeps the burn loop observable. */
-    uint64_t workSink_ = 0;
-    /** Consumer-side batch buffers, indexed by absolute queue id. */
-    std::vector<ConsumerBuf> bufs_;
 };
 
 } // namespace phloem::rt

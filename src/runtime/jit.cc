@@ -289,7 +289,6 @@ jitEmitC(const sim::Program& prog, const DecodedProgram& shape,
       << "    uint64_t* queue_ops;\n"
       << "    uint64_t* op_counts;\n"
       << "    uint64_t* work_sink;\n"
-      << "    int32_t* pc;\n"
       << "    void* host;\n"
       << "    int (*slow_tick)(pj_ctx*);\n"
       << "    int (*push)(pj_ctx*, int32_t, const pj_value*);\n"
@@ -351,12 +350,10 @@ jitEmitC(const sim::Program& prog, const DecodedProgram& shape,
       << "    uint64_t* brs = ctx->branches;\n"
       << "    uint64_t* qops = ctx->queue_ops;\n"
       << "    uint64_t* opc = ctx->op_counts;\n"
-      << "    int32_t* pcs = ctx->pc;\n"
       << "    uint64_t hb = 0u;\n"
       << "    pj_value t;\n"
       << "    t.bits = 0u; t.ctrl = 0u;\n"
-      << "    (void)regs; (void)brs; (void)qops; (void)opc;\n"
-      << "    (void)pcs; (void)t;\n";
+      << "    (void)regs; (void)brs; (void)qops; (void)opc; (void)t;\n";
 
     for (size_t i = 0; i < shape.code.size(); ++i) {
         const DInst& d = shape.code[i];
@@ -415,7 +412,6 @@ jitEmitC(const sim::Program& prog, const DecodedProgram& shape,
 
           case DOp::kLoad:
             o << "    PJ_TICK(1);\n" << countOp(d.opcode)
-              << "    *pcs = " << i << ";\n"
               << "    if (!ctx->load(ctx, " << d.arr << ", " << ival(d.src0)
               << ", &t)) goto done;\n";
             if (d.dst >= 0)
@@ -424,7 +420,6 @@ jitEmitC(const sim::Program& prog, const DecodedProgram& shape,
 
           case DOp::kStore:
             o << "    PJ_TICK(1);\n" << countOp(d.opcode)
-              << "    *pcs = " << i << ";\n"
               << "    if (!ctx->store(ctx, " << d.arr << ", " << ival(d.src0)
               << ", &" << reg(d.src1) << ")) goto done;\n";
             if (d.dst >= 0)
@@ -435,7 +430,6 @@ jitEmitC(const sim::Program& prog, const DecodedProgram& shape,
           case DOp::kMemOther:
           case DOp::kAtomic:
             o << "    PJ_TICK(1);\n" << countOp(d.opcode)
-              << "    *pcs = " << i << ";\n"
               << "    if (!ctx->mem_op(ctx, " << i << ", &t)) goto done;\n";
             if (d.dst >= 0)
                 o << "    " << reg(d.dst) << " = t;\n";
@@ -449,14 +443,12 @@ jitEmitC(const sim::Program& prog, const DecodedProgram& shape,
 
           case DOp::kBarrier:
             o << "    PJ_TICK(1);\n" << countOp(d.opcode)
-              << "    *pcs = " << i << ";\n"
               << "    if (!ctx->barrier(ctx)) goto done;\n";
             break;
 
           case DOp::kEnq:
             o << "    PJ_TICK(1);\n"
               << "    *qops += 1;\n" << countOp(d.opcode)
-              << "    *pcs = " << i << ";\n"
               << "    if (!ctx->push(ctx, " << d.queueRel << ", &"
               << reg(d.src0) << ")) goto done;\n";
             break;
@@ -466,7 +458,6 @@ jitEmitC(const sim::Program& prog, const DecodedProgram& shape,
               << "    *qops += 1;\n" << countOp(d.opcode)
               << "    t.bits = 0u; t.ctrl = "
               << static_cast<uint32_t>(d.imm) + 1u << "u;\n"
-              << "    *pcs = " << i << ";\n"
               << "    if (!ctx->push(ctx, " << d.queueRel
               << ", &t)) goto done;\n";
             break;
@@ -482,8 +473,7 @@ jitEmitC(const sim::Program& prog, const DecodedProgram& shape,
             } else {
                 v = "&" + reg(d.src0);
             }
-            o << "    *pcs = " << i << ";\n"
-              << "    if (!ctx->push_dist(ctx, " << d.queueBase << ", "
+            o << "    if (!ctx->push_dist(ctx, " << d.queueBase << ", "
               << ival(d.src1) << ", " << v << ")) goto done;\n";
             break;
           }
@@ -491,7 +481,6 @@ jitEmitC(const sim::Program& prog, const DecodedProgram& shape,
           case DOp::kDeq:
             o << "    PJ_TICK(1);\n"
               << "    *qops += 1;\n" << countOp(d.opcode)
-              << "    *pcs = " << i << ";\n"
               << "    if (!ctx->pop(ctx, " << d.queueRel
               << ", &t)) goto done;\n"
               << "    " << reg(d.dst) << " = t;\n";
@@ -502,7 +491,6 @@ jitEmitC(const sim::Program& prog, const DecodedProgram& shape,
           case DOp::kPeek:
             o << "    PJ_TICK(1);\n"
               << "    *qops += 1;\n" << countOp(d.opcode)
-              << "    *pcs = " << i << ";\n"
               << "    if (!ctx->peek(ctx, " << d.queueRel
               << ", &t)) goto done;\n"
               << "    " << reg(d.dst) << " = t;\n";
@@ -539,7 +527,6 @@ jitEmitC(const sim::Program& prog, const DecodedProgram& shape,
             if (!emitScalarAssign(o, *d.raw, "t", err))
                 return "";
             o << "    " << reg(d.dst) << " = t;\n"
-              << "    *pcs = " << i << ";\n"
               << "    if (!ctx->push(ctx, " << d.queueRel
               << ", &t)) goto done;\n"
               << "    goto L" << i + 2 << ";\n";
@@ -549,7 +536,6 @@ jitEmitC(const sim::Program& prog, const DecodedProgram& shape,
             o << "    PJ_TICK(2);\n"
               << "    *qops += 1;\n" << countOp(d.opcode)
               << countOp(d.opcode2)
-              << "    *pcs = " << i << ";\n"
               << "    if (!ctx->load(ctx, " << d.arr << ", " << ival(d.src0)
               << ", &t)) goto done;\n"
               << "    " << reg(d.dst) << " = t;\n"
@@ -589,7 +575,6 @@ jitCompileStage(const sim::Program& prog, const DecodedProgram& shape,
                 const std::string& stage_name)
 {
     auto art = std::make_shared<JitArtifact>();
-    art->fusedSites = shape.fusedSites;
 
     uint64_t t0 = nowNs();
     std::string err;
@@ -603,9 +588,7 @@ jitCompileStage(const sim::Program& prog, const DecodedProgram& shape,
     // Artifact directory: a temp dir by default, or a named dir under
     // PHLOEM_JIT_ARTIFACT_DIR (kept, so CI can upload the emitted C).
     const char* artdir = std::getenv("PHLOEM_JIT_ARTIFACT_DIR");
-    const char* keepenv = std::getenv("PHLOEM_JIT_KEEP");
-    art->keep = artdir != nullptr ||
-                (keepenv != nullptr && std::string(keepenv) == "1");
+    art->keep = artdir != nullptr;
     std::string tmpl;
     if (artdir != nullptr) {
         std::error_code ec;
@@ -679,20 +662,28 @@ jitCompileStage(const sim::Program& prog, const DecodedProgram& shape,
 }
 
 // ---------------------------------------------------------------------
-// JitHost: the blocking primitives and callbacks.
+// JitHost: the callback shims.
 // ---------------------------------------------------------------------
 
-JitHost::JitHost(const sim::Program& prog, const EngineEnv& env,
-                 int queue_offset)
-    : prog_(&prog), env_(env), queueOffset_(queue_offset)
+namespace {
+
+ir::Value
+fromJit(const PhloemJitValue& v)
 {
-    phloem_assert(env_.regs != nullptr && env_.ctl != nullptr &&
-                      env_.stats != nullptr && env_.queues != nullptr,
-                  "jit host env incomplete");
-    bufs_.resize(env_.queues->size());
+    ir::Value out;
+    out.bits = v.bits;
+    out.ctrl = v.ctrl;
+    return out;
 }
 
-JitHost::~JitHost() = default;
+void
+toJit(const ir::Value& v, PhloemJitValue* out)
+{
+    out->bits = v.bits;
+    out->ctrl = v.ctrl;
+}
+
+} // namespace
 
 void
 JitHost::run(const JitArtifact& art)
@@ -709,7 +700,6 @@ JitHost::run(const JitArtifact& art)
     ctx.queueOps = &env_.stats->queueOps;
     ctx.opCounts = env_.stats->opCounts.data();
     ctx.workSink = &workSink_;
-    ctx.pc = &pc_;
     ctx.host = this;
     ctx.slowTick = &JitHost::cbSlowTick;
     ctx.push = &JitHost::cbPush;
@@ -731,292 +721,128 @@ JitHost::run(const JitArtifact& art)
     }
 }
 
-bool
-JitHost::waitPush(SpscQueue& q, int abs_q, const ir::Value& v)
-{
-    if (q.tryPush(v))
-        return true;
-    q.noteEnqBlocked();
-    uint64_t t0 = env_.trace ? env_.trace->now() : 0;
-    ParkTarget pt = makePushTarget(q, abs_q);
-    Backoff backoff;
-    bool ok = true;
-    while (ok && !q.tryPush(v))
-        ok = backoff.step(*env_.ctl, /*stoppable=*/false, pt);
-    if (env_.trace)
-        env_.trace->record(trace::EventKind::kEnqBlock, abs_q, t0,
-                           env_.trace->now());
-    return ok;
-}
-
-bool
-JitHost::popValue(int abs_q, SpscQueue& q, ir::Value& v)
-{
-    ConsumerBuf& b = bufs_[static_cast<size_t>(abs_q)];
-    if (b.pos < b.len) {
-        v = b.data[b.pos++];
-        return true;
-    }
-    if (!b.data)
-        b.data = std::make_unique<ir::Value[]>(kBatchCap);
-    size_t n = q.popBatch(kBatchCap, b.data.get());
-    if (n == 0) {
-        q.noteDeqBlocked();
-        uint64_t t0 = env_.trace ? env_.trace->now() : 0;
-        ParkTarget pt = makePopTarget(q, abs_q);
-        Backoff backoff;
-        bool ok = true;
-        while (ok && (n = q.popBatch(kBatchCap, b.data.get())) == 0)
-            ok = backoff.step(*env_.ctl, /*stoppable=*/false, pt);
-        if (env_.trace)
-            env_.trace->record(trace::EventKind::kDeqBlock, abs_q, t0,
-                               env_.trace->now());
-        if (!ok)
-            return false;
-    }
-    b.len = static_cast<uint32_t>(n);
-    b.pos = 1;
-    v = b.data[0];
-    return true;
-}
-
-bool
-JitHost::peekValue(int abs_q, SpscQueue& q, ir::Value& v)
-{
-    // Peek must not consume, so it never triggers a refill: serve the
-    // buffer front when one is pending, otherwise read the ring front.
-    const ConsumerBuf& b = bufs_[static_cast<size_t>(abs_q)];
-    if (b.pos < b.len) {
-        v = b.data[b.pos];
-        return true;
-    }
-    if (q.tryPeek(v))
-        return true;
-    q.noteDeqBlocked();
-    uint64_t t0 = env_.trace ? env_.trace->now() : 0;
-    ParkTarget pt = makePopTarget(q, abs_q, "peek");
-    Backoff backoff;
-    bool ok = true;
-    while (ok && !q.tryPeek(v))
-        ok = backoff.step(*env_.ctl, /*stoppable=*/false, pt);
-    if (env_.trace)
-        env_.trace->record(trace::EventKind::kDeqBlock, abs_q, t0,
-                           env_.trace->now());
-    return ok;
-}
-
-std::vector<std::pair<int, uint64_t>>
-JitHost::unconsumed() const
-{
-    std::vector<std::pair<int, uint64_t>> out;
-    for (size_t q = 0; q < bufs_.size(); ++q) {
-        const ConsumerBuf& b = bufs_[q];
-        if (b.pos < b.len)
-            out.emplace_back(static_cast<int>(q),
-                             static_cast<uint64_t>(b.len - b.pos));
-    }
-    return out;
-}
-
-// --- Callbacks. Exceptions must not unwind through the emitted C
-// frame: capture them, return 0 (the code exits), rethrow in run(). ---
-
+// Exceptions must not unwind through the emitted C frame: capture
+// them, return 0 (the code exits), rethrow in run().
+template <typename Op>
 int
-JitHost::cbSlowTick(PhloemJitCtx* c)
+JitHost::shim(PhloemJitCtx* c, Op&& op)
 {
     auto* h = static_cast<JitHost*>(c->host);
     try {
-        if (h->env_.ctl->aborted())
-            return 0;
-        if (h->env_.stats->instructions > h->env_.ctl->opt.maxInstructions) {
-            std::string msg =
-                "instruction budget exceeded (" +
-                std::to_string(h->env_.ctl->opt.maxInstructions) + ") in " +
-                h->env_.stats->name;
-            h->env_.ctl->fail(msg);
-            throw std::runtime_error(msg);
-        }
-        Scheduler::maybeYield();
-        return 1;
+        return op(*h) ? 1 : 0;
     } catch (...) {
         h->eptr_ = std::current_exception();
         return 0;
     }
+}
+
+int
+JitHost::cbSlowTick(PhloemJitCtx* c)
+{
+    return shim(c, [](JitHost& h) { return h.slowTick(); });
 }
 
 int
 JitHost::cbPush(PhloemJitCtx* c, int32_t rel_q, const PhloemJitValue* v)
 {
-    auto* h = static_cast<JitHost*>(c->host);
-    try {
-        int abs_q = h->queueOffset_ + rel_q;
-        SpscQueue& q = *(*h->env_.queues)[static_cast<size_t>(abs_q)];
-        ir::Value val;
-        val.bits = v->bits;
-        val.ctrl = v->ctrl;
-        return h->waitPush(q, abs_q, val) ? 1 : 0;
-    } catch (...) {
-        h->eptr_ = std::current_exception();
-        return 0;
-    }
+    return shim(c, [&](JitHost& h) {
+        int abs_q = h.queueOffset_ + rel_q;
+        return h.push(h.queue(abs_q), abs_q, fromJit(*v));
+    });
 }
 
 int
 JitHost::cbPushDist(PhloemJitCtx* c, int32_t queue_base, int64_t sel,
                     const PhloemJitValue* v)
 {
-    auto* h = static_cast<JitHost*>(c->host);
-    try {
-        int target = sim::distTargetReplica(sel, h->env_.numReplicas);
-        int abs_q = queue_base + target * h->env_.queueStride;
-        SpscQueue& q = *(*h->env_.queues)[static_cast<size_t>(abs_q)];
-        ir::Value val;
-        val.bits = v->bits;
-        val.ctrl = v->ctrl;
-        return h->waitPush(q, abs_q, val) ? 1 : 0;
-    } catch (...) {
-        h->eptr_ = std::current_exception();
-        return 0;
-    }
+    return shim(c, [&](JitHost& h) {
+        int abs_q = h.distQueue(queue_base, sel);
+        return h.push(h.queue(abs_q), abs_q, fromJit(*v));
+    });
 }
 
 int
 JitHost::cbPop(PhloemJitCtx* c, int32_t rel_q, PhloemJitValue* v)
 {
-    auto* h = static_cast<JitHost*>(c->host);
-    try {
-        int abs_q = h->queueOffset_ + rel_q;
-        SpscQueue& q = *(*h->env_.queues)[static_cast<size_t>(abs_q)];
+    return shim(c, [&](JitHost& h) {
+        int abs_q = h.queueOffset_ + rel_q;
         ir::Value val;
-        if (!h->popValue(abs_q, q, val))
-            return 0;
-        v->bits = val.bits;
-        v->ctrl = val.ctrl;
-        return 1;
-    } catch (...) {
-        h->eptr_ = std::current_exception();
-        return 0;
-    }
+        if (!h.pop(h.queue(abs_q), abs_q, val))
+            return false;
+        toJit(val, v);
+        return true;
+    });
 }
 
 int
 JitHost::cbPeek(PhloemJitCtx* c, int32_t rel_q, PhloemJitValue* v)
 {
-    auto* h = static_cast<JitHost*>(c->host);
-    try {
-        int abs_q = h->queueOffset_ + rel_q;
-        SpscQueue& q = *(*h->env_.queues)[static_cast<size_t>(abs_q)];
+    return shim(c, [&](JitHost& h) {
+        int abs_q = h.queueOffset_ + rel_q;
         ir::Value val;
-        if (!h->peekValue(abs_q, q, val))
-            return 0;
-        v->bits = val.bits;
-        v->ctrl = val.ctrl;
-        return 1;
-    } catch (...) {
-        h->eptr_ = std::current_exception();
-        return 0;
-    }
+        if (!h.peek(h.queue(abs_q), abs_q, val))
+            return false;
+        toJit(val, v);
+        return true;
+    });
 }
 
 int
 JitHost::cbBarrier(PhloemJitCtx* c)
 {
-    auto* h = static_cast<JitHost*>(c->host);
-    try {
-        if (!h->env_.trace)
-            return h->env_.barrier->arriveAndWait(*h->env_.ctl) ? 1 : 0;
-        uint64_t t0 = h->env_.trace->now();
-        bool ok = h->env_.barrier->arriveAndWait(*h->env_.ctl);
-        h->env_.trace->record(trace::EventKind::kBarrierWait, -1, t0,
-                              h->env_.trace->now());
-        return ok ? 1 : 0;
-    } catch (...) {
-        h->eptr_ = std::current_exception();
-        return 0;
-    }
+    return shim(c, [](JitHost& h) { return h.barrier(); });
 }
 
 int
 JitHost::cbLoad(PhloemJitCtx* c, int32_t arr, int64_t idx,
                 PhloemJitValue* v)
 {
-    auto* h = static_cast<JitHost*>(c->host);
-    try {
-        // Bindings are looked up per execution: kSwapArr may retarget
-        // them at runtime, so the emitted code never caches the buffer.
-        sim::ArrayBuffer* buf = h->env_.arrayBind[static_cast<size_t>(arr)];
-        ir::Value out = buf->load(idx);
-        v->bits = out.bits;
-        v->ctrl = out.ctrl;
-        return 1;
-    } catch (...) {
-        h->eptr_ = std::current_exception();
-        return 0;
-    }
+    // Bindings are looked up per execution: kSwapArr may retarget them
+    // at runtime, so the emitted code never caches the buffer.
+    return shim(c, [&](JitHost& h) {
+        toJit(h.env_.arrayBind[static_cast<size_t>(arr)]->load(idx), v);
+        return true;
+    });
 }
 
 int
 JitHost::cbStore(PhloemJitCtx* c, int32_t arr, int64_t idx,
                  const PhloemJitValue* v)
 {
-    auto* h = static_cast<JitHost*>(c->host);
-    try {
-        sim::ArrayBuffer* buf = h->env_.arrayBind[static_cast<size_t>(arr)];
-        ir::Value val;
-        val.bits = v->bits;
-        val.ctrl = v->ctrl;
-        buf->store(idx, val);
-        return 1;
-    } catch (...) {
-        h->eptr_ = std::current_exception();
-        return 0;
-    }
+    return shim(c, [&](JitHost& h) {
+        h.env_.arrayBind[static_cast<size_t>(arr)]->store(idx,
+                                                          fromJit(*v));
+        return true;
+    });
 }
 
 int
 JitHost::cbMemOp(PhloemJitCtx* c, int32_t pc, PhloemJitValue* v)
 {
-    auto* h = static_cast<JitHost*>(c->host);
-    try {
-        const sim::Inst& inst = h->prog_->code[static_cast<size_t>(pc)];
-        sim::ArrayBuffer* buf =
-            h->env_.arrayBind[static_cast<size_t>(inst.arr)];
-        bool atomic = inst.opcode == ir::Opcode::kAtomicMin ||
-                      inst.opcode == ir::Opcode::kAtomicAdd ||
-                      inst.opcode == ir::Opcode::kAtomicFAdd ||
-                      inst.opcode == ir::Opcode::kAtomicOr;
-        ir::Value out;
-        if (atomic) {
-            // applyMemOp implements RMWs as load+store; serialize them
-            // across stages so concurrent updates are not lost.
-            std::lock_guard<std::mutex> g(h->env_.ctl->atomicsMu);
-            out = sim::applyMemOp(
-                inst, *buf, reinterpret_cast<const ir::Value*>(c->regs));
-        } else {
-            out = sim::applyMemOp(
-                inst, *buf, reinterpret_cast<const ir::Value*>(c->regs));
+    return shim(c, [&](JitHost& h) {
+        const sim::Inst& inst = h.prog_->code[static_cast<size_t>(pc)];
+        sim::ArrayBuffer& buf =
+            *h.env_.arrayBind[static_cast<size_t>(inst.arr)];
+        if (inst.opcode == ir::Opcode::kPrefetch) {
+            toJit(sim::applyMemOp(inst, buf, h.env_.regs), v);
+            return true;
         }
-        v->bits = out.bits;
-        v->ctrl = out.ctrl;
-        return 1;
-    } catch (...) {
-        h->eptr_ = std::current_exception();
-        return 0;
-    }
+        // applyMemOp implements RMWs as load+store; serialize them
+        // across stages so concurrent updates are not lost.
+        std::lock_guard<std::mutex> g(h.env_.ctl->atomicsMu);
+        toJit(sim::applyMemOp(inst, buf, h.env_.regs), v);
+        return true;
+    });
 }
 
 int
 JitHost::cbSwapArr(PhloemJitCtx* c, int32_t arr, int32_t arr2)
 {
-    auto* h = static_cast<JitHost*>(c->host);
-    try {
-        std::swap(h->env_.arrayBind[static_cast<size_t>(arr)],
-                  h->env_.arrayBind[static_cast<size_t>(arr2)]);
-        return 1;
-    } catch (...) {
-        h->eptr_ = std::current_exception();
-        return 0;
-    }
+    return shim(c, [&](JitHost& h) {
+        std::swap(h.env_.arrayBind[static_cast<size_t>(arr)],
+                  h.env_.arrayBind[static_cast<size_t>(arr2)]);
+        return true;
+    });
 }
 
 } // namespace phloem::rt

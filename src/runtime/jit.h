@@ -34,13 +34,12 @@
 #define PHLOEM_RUNTIME_JIT_H
 
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "runtime/decode.h"
-#include "runtime/engine.h"
+#include "runtime/worker.h"
 #include "sim/program.h"
 
 namespace phloem::rt {
@@ -74,8 +73,6 @@ struct PhloemJitCtx
     uint64_t* queueOps;
     uint64_t* opCounts;
     uint64_t* workSink;
-    /** Published before every host call (deadlock diagnostics). */
-    int32_t* pc;
     void* host;
 
     int (*slowTick)(PhloemJitCtx*);
@@ -107,8 +104,6 @@ struct JitArtifact
     PhloemJitEntry entry = nullptr;
     /** Why compilation failed ("" when ok()). */
     std::string error;
-    /** Static fusion sites in the emitted code (stats parity). */
-    int fusedSites = 0;
 
     // Stage-lifecycle latencies, in nanoseconds.
     double emitNs = 0.0;    ///< decode shape -> C text
@@ -119,7 +114,7 @@ struct JitArtifact
     std::string dir;
     /** Emitted C file path (CI uploads it on failure). */
     std::string cPath;
-    /** Keep the artifact directory on destruction (debugging/CI). */
+    /** Keep the artifact directory (PHLOEM_JIT_ARTIFACT_DIR set). */
     bool keep = false;
 
     JitArtifact() = default;
@@ -149,7 +144,6 @@ using JitArtifactPtr = std::shared_ptr<const JitArtifact>;
  *    pretends not to support (forces engine fallback; tests).
  *  - PHLOEM_JIT_ARTIFACT_DIR: emit artifacts under this directory and
  *    keep them (CI uploads emitted C on failure).
- *  - PHLOEM_JIT_KEEP=1: keep the temp artifact directories.
  */
 JitArtifactPtr jitCompileStage(const sim::Program& prog,
                                const DecodedProgram& shape,
@@ -160,45 +154,39 @@ std::string jitEmitC(const sim::Program& prog, const DecodedProgram& shape,
                      const std::string& stage_name, std::string* err);
 
 /**
- * Host side of one JIT stage execution: owns the consumer-side batch
- * buffers (same batched popBatch draining as the engine, so queue
- * statistics agree) and the callback implementations. One host per
- * worker per run; the artifact is shared.
+ * Host side of one JIT stage execution. The blocking ring ops, batch
+ * buffers, budget poll and barrier are the engine's (StageContext);
+ * the callbacks are ABI shims around them: value conversion, re-basing
+ * the emitted code's replica-relative queue ids, and capturing
+ * exceptions so none unwinds through the C frame. One host per worker
+ * per run; the artifact is shared.
  */
-class JitHost
+class JitHost : public StageContext
 {
   public:
     /**
      * `prog` backs the generic memOp callback (raw Inst lookup);
-     * `env` is the same borrowed state the engine gets;
      * `queue_offset` re-bases the emitted code's relative queue ids.
      */
-    JitHost(const sim::Program& prog, const EngineEnv& env,
-            int queue_offset);
-    ~JitHost();
+    JitHost(const sim::Program& prog, const StageEnv& env,
+            int queue_offset)
+        : StageContext(env), prog_(&prog), queueOffset_(queue_offset)
+    {
+    }
 
     /**
      * Run the stage through the artifact's entry point. Rethrows any
      * exception captured at the callback boundary (instruction budget,
-     * out-of-bounds) after the C frame has returned, so failure behavior matches the engine exactly.
+     * out-of-bounds) after the C frame has returned, so failure
+     * behavior matches the engine exactly.
      */
     void run(const JitArtifact& art);
 
-    /** Per-queue (absolute id, count) of drained-but-undequeued values. */
-    std::vector<std::pair<int, uint64_t>> unconsumed() const;
-
   private:
-    struct ConsumerBuf
-    {
-        std::unique_ptr<ir::Value[]> data;
-        uint32_t pos = 0;
-        uint32_t len = 0;
-    };
+    /** Run `op` on the host behind c: 1 on success, 0 to stop. */
+    template <typename Op>
+    static int shim(PhloemJitCtx* c, Op&& op);
 
-    /** Values drained per popBatch refill (engine's kBatchCap). */
-    static constexpr size_t kBatchCap = 256;
-
-    // Callback implementations (see jit.cc).
     static int cbSlowTick(PhloemJitCtx* c);
     static int cbPush(PhloemJitCtx* c, int32_t rel_q,
                       const PhloemJitValue* v);
@@ -214,21 +202,10 @@ class JitHost
     static int cbMemOp(PhloemJitCtx* c, int32_t pc, PhloemJitValue* v);
     static int cbSwapArr(PhloemJitCtx* c, int32_t arr, int32_t arr2);
 
-    bool waitPush(SpscQueue& q, int abs_q, const ir::Value& v);
-    bool popValue(int abs_q, SpscQueue& q, ir::Value& v);
-    bool peekValue(int abs_q, SpscQueue& q, ir::Value& v);
-
     const sim::Program* prog_;
-    EngineEnv env_;
     int queueOffset_;
     /** Exception captured at the callback boundary; rethrown by run(). */
     std::exception_ptr eptr_;
-    /** Sink for kWork burn loops (keeps them observable). */
-    uint64_t workSink_ = 0;
-    /** Published pc of the emitted code (diagnostics). */
-    int32_t pc_ = 0;
-    /** Consumer-side batch buffers, indexed by absolute queue id. */
-    std::vector<ConsumerBuf> bufs_;
 };
 
 } // namespace phloem::rt

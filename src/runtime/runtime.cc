@@ -48,50 +48,78 @@ tierName(TierMode t)
 }
 
 /**
- * Build (or fail) the JIT artifact for one stage program. Never
- * throws: a decode/emission/compile problem becomes a failed artifact,
- * and the stage falls back to the engine — which will surface the same
- * underlying problem through the normal worker-failure path if it is a
- * real program defect rather than a JIT limitation.
+ * Fold the preparation's JIT build costs and each stage worker's
+ * outcome (compiled code or engine fallback) into `out`.
  */
-JitArtifactPtr
-buildStageArtifact(const sim::Program& prog, const DecodedProgram* shape,
-                   const std::string& name)
+void
+recordJit(NativeStats& out, const PreparedPipeline& prepared,
+          const std::vector<const StageWorker*>& workers)
 {
-    try {
-        if (shape != nullptr)
-            return jitCompileStage(prog, *shape, name);
-        DecodedProgram local = decodeShape(prog);
-        return jitCompileStage(prog, local, name);
-    } catch (const std::exception& e) {
-        auto failed = std::make_shared<JitArtifact>();
-        failed->error = std::string("jit setup failed: ") + e.what();
-        return failed;
+    if (prepared.tier != TierMode::kJit)
+        return;
+    for (const PreparedStage& stage : prepared.stages) {
+        out.jitEmitNs += stage.jit->emitNs;
+        out.jitCompileNs += stage.jit->compileNs;
+        out.jitLoadNs += stage.jit->loadNs;
+        if (!stage.jit->ok() && out.jitError.empty())
+            out.jitError = stage.jit->error;
     }
+    for (const StageWorker* w : workers)
+        (w->runsJit() ? out.jitStages : out.jitFallbacks)++;
 }
 
 } // namespace
 
-NativeStats
-Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding)
+PreparedStage
+prepareStage(const ir::Function& fn, TierMode tier)
 {
-    return runPipeline(pipeline, binding, PreparedPrograms{});
+    PreparedStage stage;
+    stage.program = sim::flatten(fn);
+    stage.shape = decodeShape(stage.program);
+    if (tier == TierMode::kJit) {
+        // A JIT problem is never fatal: the failed artifact downgrades
+        // the stage to the engine.
+        try {
+            stage.jit = jitCompileStage(stage.program, stage.shape,
+                                        fn.name);
+        } catch (const std::exception& e) {
+            auto failed = std::make_shared<JitArtifact>();
+            failed->error = std::string("jit setup failed: ") + e.what();
+            stage.jit = std::move(failed);
+        }
+    }
+    return stage;
+}
+
+PreparedPipeline
+preparePipeline(const ir::Pipeline& pipeline, TierMode tier)
+{
+    PreparedPipeline out;
+    out.tier = tier;
+    out.stages.reserve(pipeline.stages.size());
+    for (const auto& stage : pipeline.stages)
+        out.stages.push_back(prepareStage(*stage, tier));
+    return out;
 }
 
 NativeStats
 Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
-                     const std::vector<sim::Program>* programs)
+                     const PreparedPipeline* prepared)
 {
-    PreparedPrograms prep;
-    prep.programs = programs;
-    return runPipeline(pipeline, binding, prep);
-}
+    // Prepare before the timed region; replicas share each stage.
+    PreparedPipeline local;
+    if (prepared == nullptr) {
+        local = preparePipeline(pipeline, opt_.tier);
+        prepared = &local;
+    }
+    phloem_assert(prepared->tier == opt_.tier, "pipeline prepared for ",
+                  tierName(prepared->tier), " cannot run on ",
+                  tierName(opt_.tier));
+    phloem_assert(prepared->stages.size() == pipeline.stages.size(),
+                  "prepared stage count (", prepared->stages.size(),
+                  ") does not match pipeline stages (",
+                  pipeline.stages.size(), ")");
 
-NativeStats
-Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
-                     const PreparedPrograms& prep)
-{
-    const std::vector<sim::Program>* pre_flattened = prep.programs;
     int replicas = std::max(1, pipeline.replicas);
 
     // Queue-id stride between replicas, matching the simulator exactly.
@@ -128,40 +156,12 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
     for (auto& q : queues)
         queue_ptrs.push_back(q.get());
 
-    // Flatten each stage once; replicas share the program. A caller
-    // that already holds the flattened programs (the compilation
-    // service's cache) supplies them instead; workers only read them,
-    // so one pre-flattened set can back concurrent runs.
-    std::vector<sim::Program> local_programs;
-    if (pre_flattened == nullptr) {
-        local_programs.reserve(pipeline.stages.size());
-        for (const auto& stage : pipeline.stages)
-            local_programs.push_back(sim::flatten(*stage));
-        pre_flattened = &local_programs;
-    } else {
-        phloem_assert(pre_flattened->size() == pipeline.stages.size(),
-                      "pre-flattened program count (",
-                      pre_flattened->size(),
-                      ") does not match pipeline stages (",
-                      pipeline.stages.size(), ")");
-    }
-    const std::vector<sim::Program>& programs = *pre_flattened;
-
-    // Cached decoded shapes (compilation service): workers copy and
-    // relocate instead of re-classifying; must match the programs 1:1.
-    const std::vector<DecodedProgram>* shapes = prep.shapes;
-    if (shapes != nullptr)
-        phloem_assert(shapes->size() == programs.size(),
-                      "decoded shape count (", shapes->size(),
-                      ") does not match pipeline stages (",
-                      programs.size(), ")");
-
     // Queues targeted by kEnqDist have one producer per replica (every
     // replica's distributor may select them); their pushes must be
     // serialized.
     if (replicas > 1) {
-        for (const auto& prog : programs) {
-            for (const auto& inst : prog.code) {
+        for (const PreparedStage& stage : prepared->stages) {
+            for (const auto& inst : stage.program.code) {
                 if (inst.kind == sim::Inst::Kind::kOp &&
                     inst.opcode == ir::Opcode::kEnqDist) {
                     for (int r = 0; r < replicas; ++r)
@@ -176,30 +176,6 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
     RunControl ctl;
     ctl.opt = opt_;
 
-    // JIT tier: build (or reuse) one artifact per stage program before
-    // the timed region — replicas share artifacts, and a cache hit in
-    // the compilation service skips this entirely. A failed artifact
-    // just downgrades that stage to the engine (recorded per worker).
-    std::vector<JitArtifactPtr> local_jit;
-    const std::vector<JitArtifactPtr>* jit_arts = nullptr;
-    if (opt_.tier == TierMode::kJit) {
-        if (prep.jit != nullptr) {
-            phloem_assert(prep.jit->size() == programs.size(),
-                          "jit artifact count (", prep.jit->size(),
-                          ") does not match pipeline stages (",
-                          programs.size(), ")");
-            jit_arts = prep.jit;
-        } else {
-            local_jit.reserve(programs.size());
-            for (size_t s = 0; s < programs.size(); ++s)
-                local_jit.push_back(buildStageArtifact(
-                    programs[s],
-                    shapes != nullptr ? &(*shapes)[s] : nullptr,
-                    pipeline.stages[s]->name));
-            jit_arts = &local_jit;
-        }
-    }
-
     StageBarrier barrier(total_threads);
 
     std::vector<std::unique_ptr<StageWorker>> stage_workers;
@@ -209,20 +185,9 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
                 pipeline.stages[static_cast<size_t>(s)]->name +
                 (replicas > 1 ? "@" + std::to_string(r) : "");
             stage_workers.push_back(std::make_unique<StageWorker>(
-                std::move(name), &programs[static_cast<size_t>(s)],
+                std::move(name), prepared->stages[static_cast<size_t>(s)],
                 binding, r, /*queue_offset=*/r * stride, stride, replicas,
                 queue_ptrs, &barrier, &ctl));
-            StageWorker& w = *stage_workers.back();
-            if (shapes != nullptr)
-                w.shape = &(*shapes)[static_cast<size_t>(s)];
-            if (jit_arts != nullptr) {
-                const JitArtifact& art =
-                    *(*jit_arts)[static_cast<size_t>(s)];
-                if (art.ok())
-                    w.jit = &art;
-                else
-                    w.stats.jitFallback = art.error;
-            }
         }
     }
 
@@ -368,21 +333,10 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
     out.numRAWorkers = static_cast<int>(ra_workers.size());
     out.engine = true;
     out.tier = tierName(opt_.tier);
-    if (jit_arts != nullptr) {
-        for (const JitArtifactPtr& a : *jit_arts) {
-            out.jitEmitNs += a->emitNs;
-            out.jitCompileNs += a->compileNs;
-            out.jitLoadNs += a->loadNs;
-            if (!a->ok() && out.jitError.empty())
-                out.jitError = a->error;
-        }
-        for (auto& w : stage_workers) {
-            if (w->jit != nullptr)
-                out.jitStages++;
-            else
-                out.jitFallbacks++;
-        }
-    }
+    std::vector<const StageWorker*> stage_ptrs;
+    for (const auto& w : stage_workers)
+        stage_ptrs.push_back(w.get());
+    recordJit(out, *prepared, stage_ptrs);
     out.sched = sched_stats;
     out.hwLanes = std::move(hw_lanes);
     for (const auto& lane : out.hwLanes)
@@ -448,7 +402,10 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
 NativeStats
 Runtime::runSerial(const ir::Function& fn, sim::Binding& binding)
 {
-    sim::Program prog = sim::flatten(fn);
+    PreparedPipeline prepared;
+    prepared.tier = opt_.tier;
+    prepared.stages.push_back(prepareStage(fn, opt_.tier));
+    const sim::Program& prog = prepared.stages[0].program;
 
     // A serial function must be self-contained: the worker below gets no
     // queues, so a stray enq/deq (e.g. a pipeline stage passed here by
@@ -470,17 +427,9 @@ Runtime::runSerial(const ir::Function& fn, sim::Binding& binding)
     RunControl ctl;
     ctl.opt = opt_;
     StageBarrier barrier(1);
-    StageWorker worker(fn.name, &prog, binding, /*replica=*/0,
+    StageWorker worker(fn.name, prepared.stages[0], binding, /*replica=*/0,
                        /*queue_offset=*/0, /*queue_stride=*/0,
                        /*num_replicas=*/1, {}, &barrier, &ctl);
-    JitArtifactPtr jit_art;
-    if (opt_.tier == TierMode::kJit) {
-        jit_art = buildStageArtifact(prog, nullptr, fn.name);
-        if (jit_art->ok())
-            worker.jit = jit_art.get();
-        else
-            worker.stats.jitFallback = jit_art->error;
-    }
     if (opt_.tracer != nullptr)
         worker.traceBuf = opt_.tracer->addWorker(fn.name,
                                                  /*is_stage=*/true);
@@ -504,17 +453,7 @@ Runtime::runSerial(const ir::Function& fn, sim::Binding& binding)
     out.rusage = ResourceUsage::processNow().minus(ru0);
     out.engine = true;
     out.tier = tierName(opt_.tier);
-    if (jit_art != nullptr) {
-        out.jitEmitNs = jit_art->emitNs;
-        out.jitCompileNs = jit_art->compileNs;
-        out.jitLoadNs = jit_art->loadNs;
-        if (worker.jit != nullptr)
-            out.jitStages = 1;
-        else {
-            out.jitFallbacks = 1;
-            out.jitError = jit_art->error;
-        }
-    }
+    recordJit(out, prepared, {&worker});
     out.workers.push_back(worker.stats);
     if (ctl.aborted()) {
         out.ok = false;

@@ -11,9 +11,10 @@
  * stages than cores — share the host without thread oversubscription; a
  * task blocked on a full/empty ring parks and yields its pool worker;
  * the scheduler's all-parked monitor is the one deadlock detector.
- * Each stage runs the same sim::flatten instruction stream as the
- * simulator, pre-decoded (runtime/engine.h) or compiled per stage
- * (runtime/jit.h), through the same functional core (sim/eval.h), so
+ * Each stage is prepared once — the same sim::flatten instruction
+ * stream as the simulator, decoded, and on the JIT tier compiled — and
+ * run pre-decoded (runtime/engine.h) or compiled (runtime/jit.h)
+ * through the same functional core (sim/eval.h), so
  * its output is bit-for-bit identical to the simulator's — which the
  * differential tests enforce.
  *
@@ -34,6 +35,7 @@
 #include "runtime/worker.h"
 #include "sim/binding.h"
 #include "sim/config.h"
+#include "sim/program.h"
 
 namespace phloem::rt {
 
@@ -41,24 +43,47 @@ struct JitArtifact;
 using JitArtifactPtr = std::shared_ptr<const JitArtifact>;
 
 /**
- * Caller-supplied pre-compiled stage state, all optional and all only
- * read (a compilation service shares one pipeline across concurrent
- * runs; everything referenced must outlive the call):
- *  - programs: flattened stage programs, one per stage in stage order
- *    (null = flatten per run);
- *  - shapes: decoded replica-independent DInst shapes matching
- *    `programs` (null = decode per worker); cache hits then skip
- *    decode, not just flattening;
- *  - jit: per-stage compiled artifacts for the JIT tier, failed
- *    entries included (null = compile at run setup when the tier is
- *    kJit). Ignored on other tiers.
+ * One stage ready to run: its flattened program, the program's decoded
+ * replica-independent shape and, when prepared for kJit, its compiled
+ * artifact (failed builds included: that stage runs on the engine).
+ * Only read while running, so one prepared stage backs every replica
+ * and any number of concurrent runs.
+ *
+ * The shape points into the program, so a prepared stage moves but is
+ * never copied. The stage's ir::Function must outlive it.
  */
-struct PreparedPrograms
+struct PreparedStage
 {
-    const std::vector<sim::Program>* programs = nullptr;
-    const std::vector<DecodedProgram>* shapes = nullptr;
-    const std::vector<JitArtifactPtr>* jit = nullptr;
+    sim::Program program;
+    DecodedProgram shape;
+    /** kJit only; null on kEngine. */
+    JitArtifactPtr jit;
+
+    PreparedStage() = default;
+    PreparedStage(PreparedStage&&) = default;
+    PreparedStage& operator=(PreparedStage&&) = default;
+    PreparedStage(const PreparedStage&) = delete;
+    PreparedStage& operator=(const PreparedStage&) = delete;
 };
+
+/** Every stage of one pipeline, prepared for one tier. */
+struct PreparedPipeline
+{
+    TierMode tier = TierMode::kEngine;
+    /** One per pipeline stage, in stage order (replicas share them). */
+    std::vector<PreparedStage> stages;
+};
+
+/**
+ * Flatten and decode one stage function and, on kJit, emit, compile
+ * and load its artifact. JIT failures never throw; they are recorded in
+ * the artifact.
+ */
+PreparedStage prepareStage(const ir::Function& fn, TierMode tier);
+
+/** prepareStage for every stage of `pipeline`. */
+PreparedPipeline preparePipeline(const ir::Pipeline& pipeline,
+                                 TierMode tier);
 
 class Runtime
 {
@@ -70,33 +95,20 @@ class Runtime
     }
 
     /**
-     * Execute a pipeline to completion on the task pool. Mutates the
-     * bound arrays exactly as Machine::runPipeline would. On failure
-     * (deadlock monitor, worker exception) the returned stats have
-     * ok=false and the array contents are unspecified.
-     */
-    NativeStats runPipeline(const ir::Pipeline& pipeline,
-                            sim::Binding& binding);
-
-    /**
-     * Same, but with the stages' flattened programs supplied by the
-     * caller (one per stage, in stage order) instead of re-flattened
-     * per run. The programs are only read, so a compilation service
-     * can share one pre-flattened pipeline across concurrent runs;
-     * they must outlive the call. Null falls back to flattening.
+     * Execute a pipeline to completion on the task pool, on the tier
+     * RuntimeOptions::tier names. Mutates the bound arrays exactly as
+     * Machine::runPipeline would. On failure (deadlock monitor, worker
+     * exception) the returned stats have ok=false and the array
+     * contents are unspecified.
+     *
+     * `prepared` (null: prepare here, before the timed region) lets a
+     * caller such as the compilation service prepare once and share
+     * the result across runs; it must come from preparePipeline on
+     * this pipeline and this run's tier, and outlive the call.
      */
     NativeStats runPipeline(const ir::Pipeline& pipeline,
                             sim::Binding& binding,
-                            const std::vector<sim::Program>* programs);
-
-    /**
-     * Same, with any combination of pre-flattened programs, cached
-     * decoded shapes, and pre-built JIT artifacts (see
-     * PreparedPrograms).
-     */
-    NativeStats runPipeline(const ir::Pipeline& pipeline,
-                            sim::Binding& binding,
-                            const PreparedPrograms& prep);
+                            const PreparedPipeline* prepared = nullptr);
 
     /** Execute a serial function on the calling thread (the baseline). */
     NativeStats runSerial(const ir::Function& fn, sim::Binding& binding);

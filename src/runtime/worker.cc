@@ -1,10 +1,13 @@
 #include "runtime/worker.h"
 
+#include <stdexcept>
+
 #include "base/logging.h"
 #include "ir/op.h"
 #include "runtime/decode.h"
 #include "runtime/engine.h"
 #include "runtime/jit.h"
+#include "runtime/runtime.h"
 #include "runtime/sched.h"
 
 namespace phloem::rt {
@@ -18,6 +21,25 @@ namespace {
  * worker gets that long to answer before we pay a park.
  */
 constexpr int kSpinLimit = 256;
+
+/**
+ * Run `body` on `ctx`, then record the values it drained but never
+ * dequeued — also when the body throws (budget, bounds): the failure
+ * post-mortem keys on residual occupancy.
+ */
+template <typename Body>
+void
+runDraining(const StageContext& ctx, Body body,
+            std::vector<std::pair<int, uint64_t>>& unconsumed)
+{
+    try {
+        body();
+    } catch (...) {
+        unconsumed = ctx.unconsumed();
+        throw;
+    }
+    unconsumed = ctx.unconsumed();
+}
 
 } // namespace
 
@@ -90,43 +112,123 @@ StageBarrier::arriveAndWait(RunControl& ctl)
 }
 
 // ---------------------------------------------------------------------
+// StageContext.
+// ---------------------------------------------------------------------
+
+StageContext::StageContext(const StageEnv& env) : env_(env)
+{
+    phloem_assert(env_.regs != nullptr && env_.ctl != nullptr &&
+                      env_.stats != nullptr && env_.queues != nullptr,
+                  "stage env incomplete");
+    bufs_.resize(env_.queues->size());
+}
+
+bool
+StageContext::slowTick()
+{
+    // Abort and the instruction budget are polled here rather than per
+    // instruction.
+    heartbeat_ = 0;
+    if (env_.ctl->aborted())
+        return false;
+    if (env_.stats->instructions > env_.ctl->opt.maxInstructions) {
+        std::string msg = "instruction budget exceeded (" +
+                          std::to_string(env_.ctl->opt.maxInstructions) +
+                          ") in " + env_.stats->name;
+        env_.ctl->fail(msg);
+        throw std::runtime_error(msg);
+    }
+    // Shared pool: long compute phases must not monopolize the worker
+    // while runnable peers wait (no-op off the pool).
+    Scheduler::maybeYield();
+    return true;
+}
+
+bool
+StageContext::barrier()
+{
+    if (!env_.trace)
+        return env_.barrier->arriveAndWait(*env_.ctl);
+    uint64_t t0 = env_.trace->now();
+    bool ok = env_.barrier->arriveAndWait(*env_.ctl);
+    env_.trace->record(trace::EventKind::kBarrierWait, -1, t0,
+                       env_.trace->now());
+    return ok;
+}
+
+std::vector<std::pair<int, uint64_t>>
+StageContext::unconsumed() const
+{
+    std::vector<std::pair<int, uint64_t>> out;
+    for (size_t q = 0; q < bufs_.size(); ++q) {
+        const ConsumerBuf& b = bufs_[q];
+        if (b.pos < b.len)
+            out.emplace_back(static_cast<int>(q),
+                             static_cast<uint64_t>(b.len - b.pos));
+    }
+    return out;
+}
+
+// ---------------------------------------------------------------------
 // StageWorker.
 // ---------------------------------------------------------------------
 
-StageWorker::StageWorker(std::string name, const sim::Program* prog,
+StageWorker::StageWorker(std::string name, const PreparedStage& stage,
                          sim::Binding& binding, int replica,
                          int queue_offset, int queue_stride,
                          int num_replicas, std::vector<SpscQueue*> queues,
                          StageBarrier* barrier, RunControl* ctl)
-    : prog_(prog), replica_(replica), queueOffset_(queue_offset),
+    : stage_(stage), queueOffset_(queue_offset),
       queueStride_(queue_stride), numReplicas_(num_replicas),
       queues_(std::move(queues)), barrier_(barrier), ctl_(ctl)
 {
     stats.name = std::move(name);
     stats.isStage = true;
     stats.opCounts.assign(static_cast<size_t>(ir::kNumOpcodes), 0);
+    if (stage_.jit != nullptr) {
+        if (stage_.jit->ok())
+            jit_ = stage_.jit.get();
+        else
+            stats.jitFallback = stage_.jit->error;
+    }
 
-    regs_.assign(static_cast<size_t>(prog_->numRegs), ir::Value{});
-    const ir::Function& fn = *prog_->fn;
+    regs_.assign(static_cast<size_t>(stage_.program.numRegs), ir::Value{});
+    const ir::Function& fn = *stage_.program.fn;
     for (const auto& p : fn.scalarParams)
-        regs_[static_cast<size_t>(p.reg)] = binding.scalar(p.name, replica_);
+        regs_[static_cast<size_t>(p.reg)] = binding.scalar(p.name, replica);
     arrayBind_.resize(fn.arrays.size());
     for (size_t a = 0; a < fn.arrays.size(); ++a)
-        arrayBind_[a] = binding.array(fn.arrays[a].name, replica_);
+        arrayBind_[a] = binding.array(fn.arrays[a].name, replica);
 }
 
 void
 StageWorker::run()
 {
-    if (ctl_->opt.tier == TierMode::kJit && jit != nullptr) {
+    StageEnv env;
+    env.regs = regs_.data();
+    env.arrayBind = arrayBind_.data();
+    env.queues = &queues_;
+    env.barrier = barrier_;
+    env.ctl = ctl_;
+    env.stats = &stats;
+    env.trace = traceBuf;
+    env.queueStride = queueStride_;
+    env.numReplicas = numReplicas_;
+    stats.fusedSites = static_cast<uint64_t>(stage_.shape.fusedSites);
+
+    if (jit_ != nullptr) {
         stats.tier = "jit";
-        runJit();
+        JitHost host(stage_.program, env, queueOffset_);
+        runDraining(host, [&] { host.run(*jit_); }, unconsumed);
     } else {
-        // Includes per-stage JIT fallback: a stage whose artifact
-        // failed to build runs on the engine (stats.jitFallback says
-        // why; the runtime set it alongside a null `jit`).
+        // Includes per-stage JIT fallback (stats.jitFallback says why).
+        // The shared shape is copied and re-based on this replica's
+        // queue window.
         stats.tier = "engine";
-        runEngine();
+        DecodedProgram code = stage_.shape;
+        relocateProgram(code, queueOffset_, queues_);
+        Engine engine(code, env);
+        runDraining(engine, [&] { engine.run(); }, unconsumed);
     }
     // Abnormal exits (budget, failed ops) throw past this point; they
     // already recorded the block span they died in.
@@ -134,70 +236,6 @@ StageWorker::run()
         uint64_t t = traceBuf->now();
         traceBuf->record(trace::EventKind::kHalt, -1, t, t);
     }
-}
-
-void
-StageWorker::runEngine()
-{
-    // A cached shape (compilation service) skips classification+fusion;
-    // the copy is then relocated for this replica's queue window.
-    DecodedProgram dec;
-    if (shape != nullptr) {
-        dec = *shape;
-        relocateProgram(dec, queueOffset_, queues_);
-    } else {
-        dec = decodeProgram(*prog_, queueOffset_, queueStride_,
-                            numReplicas_, queues_);
-    }
-    stats.fusedSites = static_cast<uint64_t>(dec.fusedSites);
-
-    EngineEnv env;
-    env.regs = regs_.data();
-    env.arrayBind = arrayBind_.data();
-    env.queues = &queues_;
-    env.barrier = barrier_;
-    env.ctl = ctl_;
-    env.stats = &stats;
-    env.trace = traceBuf;
-    env.queueStride = queueStride_;
-    env.numReplicas = numReplicas_;
-
-    Engine engine(dec, env);
-    try {
-        engine.run();
-    } catch (...) {
-        // Budget / bounds throws still report buffered-but-undequeued
-        // values: the failure post-mortem keys on residual occupancy.
-        unconsumed = engine.unconsumed();
-        throw;
-    }
-    unconsumed = engine.unconsumed();
-}
-
-void
-StageWorker::runJit()
-{
-    stats.fusedSites = static_cast<uint64_t>(jit->fusedSites);
-
-    EngineEnv env;
-    env.regs = regs_.data();
-    env.arrayBind = arrayBind_.data();
-    env.queues = &queues_;
-    env.barrier = barrier_;
-    env.ctl = ctl_;
-    env.stats = &stats;
-    env.trace = traceBuf;
-    env.queueStride = queueStride_;
-    env.numReplicas = numReplicas_;
-
-    JitHost host(*prog_, env, queueOffset_);
-    try {
-        host.run(*jit);
-    } catch (...) {
-        unconsumed = host.unconsumed();
-        throw;
-    }
-    unconsumed = host.unconsumed();
 }
 
 // ---------------------------------------------------------------------
@@ -232,18 +270,12 @@ RAWorker::waitPush(const ir::Value& v)
         return true;
     }
     outQ_->noteEnqBlocked();
-    uint64_t t0 = traceBuf ? traceBuf->now() : 0;
-    ParkTarget pt = makePushTarget(*outQ_, traceOutQ);
-    Backoff backoff;
     // Stoppable: once every stage task halted, whatever the RA still
     // holds can never reach memory, so it just exits.
-    bool ok = true;
-    while (ok && !outQ_->tryPush(v))
-        ok = backoff.step(*ctl_, /*stoppable=*/true, pt);
-    if (traceBuf)
-        traceBuf->record(trace::EventKind::kEnqBlock, traceOutQ, t0,
-                         traceBuf->now());
-    return ok;
+    return blockUntil(makePushTarget(*outQ_, traceOutQ), *ctl_,
+                      /*stoppable=*/true, traceBuf,
+                      trace::EventKind::kEnqBlock,
+                      [&] { return outQ_->tryPush(v); });
 }
 
 bool
@@ -254,18 +286,12 @@ RAWorker::waitPop(ir::Value& v)
         return true;
     }
     inQ_->noteDeqBlocked();
-    uint64_t t0 = traceBuf ? traceBuf->now() : 0;
-    ParkTarget pt = makePopTarget(*inQ_, traceInQ);
-    Backoff backoff;
     // An empty input after shutdown is the normal RA exit path, not a
     // deadlock: RAs never see an end-of-stream value.
-    bool ok = true;
-    while (ok && !inQ_->tryPop(v))
-        ok = backoff.step(*ctl_, /*stoppable=*/true, pt);
-    if (traceBuf)
-        traceBuf->record(trace::EventKind::kDeqBlock, traceInQ, t0,
-                         traceBuf->now());
-    return ok;
+    return blockUntil(makePopTarget(*inQ_, traceInQ), *ctl_,
+                      /*stoppable=*/true, traceBuf,
+                      trace::EventKind::kDeqBlock,
+                      [&] { return inQ_->tryPop(v); });
 }
 
 bool

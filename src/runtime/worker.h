@@ -3,14 +3,16 @@
  * Native-runtime workers: the per-stage task and the software reference
  * accelerator.
  *
- * A StageWorker runs one stage's sim::flatten instruction stream through
- * the pre-decoded engine (runtime/engine.h) or, on the JIT tier, its
+ * A StageWorker runs one prepared stage (runtime.h) through the
+ * pre-decoded engine (runtime/engine.h) or, on the JIT tier, its
  * compiled artifact (runtime/jit.h); both use the shared functional core
  * (sim/eval.h), so the native and simulated backends agree bit-for-bit.
- * Queue ops block on the SPSC rings by spinning briefly, then parking
- * the task on the ring's waiter list; control values arriving at a kDeq
- * with a handler transfer to the handler pc exactly as the simulated
- * hardware does.
+ * Both execute on one StageContext: instruction accounting, blocking
+ * ring ops with consumer-side batching, and the barrier wait. Queue ops
+ * block on the SPSC rings by spinning briefly, then parking the task on
+ * the ring's waiter list (blockUntil, which RA workers use too); control
+ * values arriving at a kDeq with a handler transfer to the handler pc
+ * exactly as the simulated hardware does.
  *
  * An RAWorker replays sim/machine.cc's RAEntity state machine in
  * software: indirect mode turns dequeued indices into loaded elements;
@@ -24,6 +26,7 @@
 #define PHLOEM_RUNTIME_WORKER_H
 
 #include <atomic>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -34,6 +37,7 @@
 #include "runtime/stats.h"
 #include "runtime/trace.h"
 #include "sim/binding.h"
+#include "sim/eval.h"
 #include "sim/program.h"
 
 namespace phloem::rt {
@@ -52,8 +56,8 @@ enum class TierMode : uint8_t {
 
 class Scheduler;
 class SchedRun;
-struct DecodedProgram;
 struct JitArtifact;
+struct PreparedStage;
 
 /** Null-safe wake of every parked task in a run (runtime/sched.cc). */
 void schedWakeAll(SchedRun* run);
@@ -232,11 +236,198 @@ class StageBarrier
     WaitList waiters_;
 };
 
+/**
+ * The one blocking loop of the native runtime: retry `attempt` with
+ * spin-then-park backoff on `pt` until it succeeds, recording the wait
+ * as one `kind` span on pt.q when traced. Callers count the block on
+ * the ring first. False when the run aborted or, for `stoppable`
+ * waits, shut down.
+ */
+template <typename Attempt>
+bool
+blockUntil(const ParkTarget& pt, RunControl& ctl, bool stoppable,
+           trace::TraceBuffer* trace, trace::EventKind kind,
+           Attempt&& attempt)
+{
+    uint64_t t0 = trace != nullptr ? trace->now() : 0;
+    Backoff backoff;
+    bool ok = true;
+    while (ok && !attempt())
+        ok = backoff.step(ctl, stoppable, pt);
+    if (trace != nullptr)
+        trace->record(kind, pt.q, t0, trace->now());
+    return ok;
+}
+
+/** Borrowed per-stage state the engine and the JIT host execute on. */
+struct StageEnv
+{
+    ir::Value* regs = nullptr;
+    sim::ArrayBuffer** arrayBind = nullptr;
+    const std::vector<SpscQueue*>* queues = nullptr;
+    StageBarrier* barrier = nullptr;
+    RunControl* ctl = nullptr;
+    WorkerStats* stats = nullptr;
+    /** Owning worker's trace ring, or null when tracing is off. */
+    trace::TraceBuffer* trace = nullptr;
+    int queueStride = 0;
+    int numReplicas = 1;
+};
+
+/**
+ * Everything an executing stage does besides computing, shared by the
+ * engine and the JIT host: instruction accounting with the periodic
+ * abort / budget / yield poll, blocking push, pop and peek over the
+ * rings, and the traced barrier wait.
+ *
+ * Dequeues drain the ring in batches: an empty consumer buffer refills
+ * with SpscQueue::popBatch — one acquire/release pair per run of values
+ * — and later pops are served from it. Buffering is consumer-side only:
+ * pushes publish immediately (blocking semantics and deadlock detection
+ * depend on enqueued values being visible to peers). Values drained but
+ * never dequeued when the stage stops are reported by unconsumed().
+ *
+ * The hot paths are inline so the engine's handlers compile them in.
+ * Ops return false when the run aborted; the budget check throws.
+ */
+class StageContext
+{
+  public:
+    explicit StageContext(const StageEnv& env);
+
+    /** Count n retired instructions; false when the run aborted. */
+    bool
+    tick(uint64_t n)
+    {
+        env_.stats->instructions += n;
+        heartbeat_ += n;
+        if (heartbeat_ >= kHeartbeatInterval)
+            return slowTick();
+        return true;
+    }
+
+    /**
+     * Poll abort and the instruction budget (throws when exceeded) and
+     * yield the pool worker to runnable peers.
+     */
+    bool slowTick();
+
+    SpscQueue&
+    queue(int abs_q) const
+    {
+        return *(*env_.queues)[static_cast<size_t>(abs_q)];
+    }
+
+    /** Absolute id of the ring a kEnqDist with selector `sel` targets. */
+    int
+    distQueue(int queue_base, int64_t sel) const
+    {
+        return queue_base +
+               sim::distTargetReplica(sel, env_.numReplicas) *
+                   env_.queueStride;
+    }
+
+    bool
+    push(SpscQueue& q, int abs_q, const ir::Value& v)
+    {
+        if (q.tryPush(v))
+            return true;
+        q.noteEnqBlocked();
+        return blockUntil(makePushTarget(q, abs_q), *env_.ctl,
+                          /*stoppable=*/false, env_.trace,
+                          trace::EventKind::kEnqBlock,
+                          [&] { return q.tryPush(v); });
+    }
+
+    /** Buffered pop: serve from the batch buffer, refilling as needed. */
+    bool
+    pop(SpscQueue& q, int abs_q, ir::Value& v)
+    {
+        ConsumerBuf& b = bufs_[static_cast<size_t>(abs_q)];
+        if (b.pos < b.len) {
+            v = b.data[b.pos++];
+            return true;
+        }
+        if (!b.data)
+            b.data = std::make_unique<ir::Value[]>(kBatchCap);
+        size_t n = q.popBatch(kBatchCap, b.data.get());
+        if (n == 0) {
+            q.noteDeqBlocked();
+            if (!blockUntil(makePopTarget(q, abs_q), *env_.ctl,
+                            /*stoppable=*/false, env_.trace,
+                            trace::EventKind::kDeqBlock, [&] {
+                                n = q.popBatch(kBatchCap, b.data.get());
+                                return n != 0;
+                            }))
+                return false;
+        }
+        b.len = static_cast<uint32_t>(n);
+        b.pos = 1;
+        v = b.data[0];
+        return true;
+    }
+
+    /**
+     * Peek must not consume, so it never refills: serve the buffer
+     * front when one is pending, otherwise read the ring front.
+     */
+    bool
+    peek(SpscQueue& q, int abs_q, ir::Value& v)
+    {
+        const ConsumerBuf& b = bufs_[static_cast<size_t>(abs_q)];
+        if (b.pos < b.len) {
+            v = b.data[b.pos];
+            return true;
+        }
+        if (q.tryPeek(v))
+            return true;
+        q.noteDeqBlocked();
+        return blockUntil(makePopTarget(q, abs_q, "peek"), *env_.ctl,
+                          /*stoppable=*/false, env_.trace,
+                          trace::EventKind::kDeqBlock,
+                          [&] { return q.tryPeek(v); });
+    }
+
+    /** kBarrier: wait for every stage, traced as one barrier span. */
+    bool barrier();
+
+    /**
+     * Per-queue counts of values drained into the consumer buffers but
+     * never dequeued (pairs of absolute queue id, count).
+     */
+    std::vector<std::pair<int, uint64_t>> unconsumed() const;
+
+  protected:
+    StageEnv env_;
+    uint64_t heartbeat_ = 0;
+    /** Sink for kWork's burned mixes; keeps the burn loop observable. */
+    uint64_t workSink_ = 0;
+
+  private:
+    /** Values drained per popBatch refill (and buffer capacity). */
+    static constexpr size_t kBatchCap = 256;
+
+    struct ConsumerBuf
+    {
+        std::unique_ptr<ir::Value[]> data;
+        uint32_t pos = 0;
+        uint32_t len = 0;
+    };
+
+    /** Consumer-side batch buffers, indexed by absolute queue id. */
+    std::vector<ConsumerBuf> bufs_;
+};
+
 /** One pipeline stage (or a serial function) on one pool task. */
 class StageWorker
 {
   public:
-    StageWorker(std::string name, const sim::Program* prog,
+    /**
+     * `stage` is shared by every replica and must outlive the run; on
+     * kJit a stage whose artifact failed to build runs on the engine
+     * and records why in stats.jitFallback.
+     */
+    StageWorker(std::string name, const PreparedStage& stage,
                 sim::Binding& binding, int replica, int queue_offset,
                 int queue_stride, int num_replicas,
                 std::vector<SpscQueue*> queues, StageBarrier* barrier,
@@ -245,26 +436,13 @@ class StageWorker
     /** Task body: execute until halt, abort, or budget. */
     void run();
 
+    /** Runs compiled code (a loaded JIT artifact), not the engine. */
+    bool runsJit() const { return jit_ != nullptr; }
+
     WorkerStats stats;
 
     /** This worker's trace ring, or null when tracing is off. */
     trace::TraceBuffer* traceBuf = nullptr;
-
-    /**
-     * Cached decoded shape of prog_ (set by the runtime when the
-     * compilation service pre-decoded it), or null to decode locally.
-     * The engine path copies it and relocates the copy for this
-     * replica, so cache hits skip classification+fusion, not just
-     * flattening. Must outlive the run.
-     */
-    const DecodedProgram* shape = nullptr;
-
-    /**
-     * JIT tier only: this stage's compiled artifact, or null when the
-     * stage fell back to the engine (compile failure). Shared across
-     * replicas; must outlive the run.
-     */
-    const JitArtifact* jit = nullptr;
 
     /**
      * Per-queue counts of values drained into the consumer batch
@@ -275,13 +453,9 @@ class StageWorker
     std::vector<std::pair<int, uint64_t>> unconsumed;
 
   private:
-    /** Decode + pre-decoded engine. */
-    void runEngine();
-    /** Compiled stage program via the loaded artifact (jit tier). */
-    void runJit();
-
-    const sim::Program* prog_;
-    int replica_;
+    const PreparedStage& stage_;
+    /** The stage's loaded artifact, or null to run the engine. */
+    const JitArtifact* jit_ = nullptr;
     int queueOffset_;
     int queueStride_;
     int numReplicas_;
@@ -325,7 +499,7 @@ class RAWorker
 
     /** Service loop (run() wraps it to trace the halt). */
     void runLoop();
-    /** Returns false on shutdown/abort. */
+    /** Blocking ring ops; false on shutdown/abort. */
     bool waitPush(const ir::Value& v);
     bool waitPop(ir::Value& v);
     /** Service a drained run of values in order; false on shutdown. */

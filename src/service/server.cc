@@ -469,9 +469,8 @@ Server::handleRun(const Request& req, double queueWaitNs)
     // Protocol tier -> runtime tier ("" and "engine" are the engine).
     // "jit" makes the compile carry the per-stage .so, so cache hits
     // skip JIT codegen too (the key includes it).
-    rt::TierMode tier =
+    spec.tier =
         req.tier == "jit" ? rt::TierMode::kJit : rt::TierMode::kEngine;
-    spec.tier = tier;
 
     std::string key = cacheKey(opts_.cfg, spec);
     driver::CompiledPipelinePtr cp;
@@ -540,7 +539,6 @@ Server::handleRun(const Request& req, double queueWaitNs)
     run.size = std::min<int64_t>(req.size, opts_.maxRunSize);
     run.cfg = opts_.cfg;
     run.deadlockTimeoutMs = std::min(req.timeoutMs, opts_.maxTimeoutMs);
-    run.tier = tier;
     run.requestId = resp.requestId;
     run.tracer = tracer.get();
     if (run.backend == driver::Backend::kSim) {

@@ -102,6 +102,18 @@ class ArrayBuffer
         phloem_panic("bad elem type");
     }
 
+    /**
+     * kPrefetch: bounds-check element idx and hint it into the host
+     * cache. Reads no data, so it never races a peer's store.
+     */
+    void
+    prefetch(int64_t idx) const
+    {
+        checkIndex(idx);
+        __builtin_prefetch(data_.data() +
+                           idx * static_cast<int64_t>(ir::elemSize(elem_)));
+    }
+
     // Typed conveniences for workload setup and validation.
     int64_t atInt(int64_t idx) const { return load(idx).asInt(); }
     double atDouble(int64_t idx) const { return load(idx).asDouble(); }

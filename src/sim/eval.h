@@ -235,7 +235,7 @@ applyMemOp(const Inst& inst, ArrayBuffer& buf, const ir::Value* regs)
         buf.store(idx, regs[static_cast<size_t>(inst.src1)]);
         break;
       case ir::Opcode::kPrefetch:
-        buf.load(idx);  // bounds check; value discarded
+        buf.prefetch(idx);
         break;
       case ir::Opcode::kAtomicMin: {
         ir::Value old = buf.load(idx);

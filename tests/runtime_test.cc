@@ -8,7 +8,9 @@
 
 #include "tests/test_util.h"
 
+#include <chrono>
 #include <cstdlib>
+#include <stdexcept>
 #include <thread>
 
 #include "base/rng.h"
@@ -806,38 +808,53 @@ TEST(NativeRuntime, JitMatchesEngineOnCompiledPipeline)
     ASSERT_TRUE(es.ok) << es.error;
     EXPECT_EQ(es.tier, "engine");
 
+    // The JIT runs share one preparation (what a service cache entry
+    // holds): two runs from it must both match the engine.
     rt::RuntimeOptions jo;
     jo.tier = rt::TierMode::kJit;
-    sim::Binding jb;
-    setupFilter(jb);
     rt::Runtime jit_rt(sim::SysConfig{}, jo);
-    rt::NativeStats js = jit_rt.runPipeline(*res.pipeline, jb);
-    ASSERT_TRUE(js.ok) << js.error;
-    EXPECT_EQ(js.tier, "jit");
-    EXPECT_GT(js.jitStages, 0) << js.jitError;
-    EXPECT_EQ(js.jitFallbacks, 0) << js.jitError;
-    EXPECT_GT(js.jitEmitNs, 0.0);
-    EXPECT_GT(js.jitCompileNs, 0.0);
-    EXPECT_GT(js.jitLoadNs, 0.0);
+    rt::PreparedPipeline prepared =
+        rt::preparePipeline(*res.pipeline, rt::TierMode::kJit);
+    for (int run = 0; run < 2; ++run) {
+        SCOPED_TRACE("run " + std::to_string(run));
+        sim::Binding jb;
+        setupFilter(jb);
+        rt::NativeStats js = jit_rt.runPipeline(*res.pipeline, jb,
+                                                &prepared);
+        ASSERT_TRUE(js.ok) << js.error;
+        EXPECT_EQ(js.tier, "jit");
+        EXPECT_GT(js.jitStages, 0) << js.jitError;
+        EXPECT_EQ(js.jitFallbacks, 0) << js.jitError;
+        EXPECT_GT(js.jitEmitNs, 0.0);
+        EXPECT_GT(js.jitCompileNs, 0.0);
+        EXPECT_GT(js.jitLoadNs, 0.0);
 
-    // Bit-identical memory and identical dynamic profiles: compiled
-    // code must retire exactly the instruction stream the engine does.
-    EXPECT_TRUE(jb.array("out")->contentEquals(*eb.array("out")));
-    EXPECT_EQ(js.totalInstructions(), es.totalInstructions());
-    EXPECT_EQ(js.totalBranches(), es.totalBranches());
-    EXPECT_EQ(js.totalOpCounts(), es.totalOpCounts());
+        // Bit-identical memory and identical dynamic profiles: compiled
+        // code must retire exactly the instruction stream the engine
+        // does.
+        EXPECT_TRUE(jb.array("out")->contentEquals(*eb.array("out")));
+        EXPECT_EQ(js.totalInstructions(), es.totalInstructions());
+        EXPECT_EQ(js.totalBranches(), es.totalBranches());
+        EXPECT_EQ(js.totalOpCounts(), es.totalOpCounts());
 
-    for (const auto& w : js.workers) {
-        if (!w.isStage)
-            continue;
-        EXPECT_EQ(w.tier, "jit") << w.name;
-        EXPECT_TRUE(w.jitFallback.empty()) << w.name;
-        // Profile invariant holds for emitted code too.
-        uint64_t sum = w.branches;
-        for (uint64_t c : w.opCounts)
-            sum += c;
-        EXPECT_EQ(sum, w.instructions) << w.name;
+        for (const auto& w : js.workers) {
+            if (!w.isStage)
+                continue;
+            EXPECT_EQ(w.tier, "jit") << w.name;
+            EXPECT_TRUE(w.jitFallback.empty()) << w.name;
+            // Profile invariant holds for emitted code too.
+            uint64_t sum = w.branches;
+            for (uint64_t c : w.opCounts)
+                sum += c;
+            EXPECT_EQ(sum, w.instructions) << w.name;
+        }
     }
+
+    // A preparation serves only the tier it was built for.
+    sim::Binding mb;
+    setupFilter(mb);
+    EXPECT_THROW(engine_rt.runPipeline(*res.pipeline, mb, &prepared),
+                 std::logic_error);
 }
 
 TEST(NativeRuntime, RunSerialHonorsExplicitTier)
@@ -951,6 +968,107 @@ TEST(NativeRuntime, JitToolchainFailuresSurfaceInStatsNotFatal)
     EXPECT_NE(ds.jitError.find("dlopen failed"), std::string::npos)
         << ds.jitError;
     EXPECT_TRUE(db.array("out")->contentEquals(*eb.array("out")));
+}
+
+// ---------------------------------------------------------------------
+// Failure paths: budget and bounds on both tiers.
+// ---------------------------------------------------------------------
+
+/** Never terminates on non-negative inputs: only the budget stops it. */
+const char* kRunawayKernel = R"(
+#pragma phloem
+void runaway(const int* restrict a, long* restrict out, int n) {
+    for (int i = 0; i < n; i++) {
+        long v = a[i];
+        while (v >= 0) {
+            v = v + 1;
+        }
+        out[i] = v;
+    }
+}
+)";
+
+/** Scatters through idx; one planted index lands far out of bounds. */
+const char* kScatterKernel = R"(
+#pragma phloem
+void scatter(const int* restrict idx, const long* restrict a,
+             long* restrict out, int n) {
+    for (int i = 0; i < n; i++) {
+        long v = a[i];
+        out[idx[i]] = v + 1;
+    }
+}
+)";
+
+constexpr int kFailN = 512;
+constexpr int64_t kBadIndex = 1 << 20;
+
+void
+setupFailKernel(sim::Binding& b)
+{
+    auto* idx = b.makeArray("idx", ir::ElemType::kI32, kFailN);
+    auto* a = b.makeArray("a", ir::ElemType::kI32, kFailN);
+    b.makeArray("out", ir::ElemType::kI64, kFailN);
+    for (int i = 0; i < kFailN; ++i) {
+        idx->setInt(i, i == kFailN / 2 ? kBadIndex : kFailN - 1 - i);
+        a->setInt(i, i);
+    }
+    b.setScalarInt("n", kFailN);
+}
+
+TEST(NativeRuntime, BudgetAndBoundsFailuresReturnPromptlyOnBothTiers)
+{
+    // A runaway stage must stop at its instruction budget and an
+    // out-of-bounds store must fail its stage; either way every peer
+    // unwinds at once (not when the deadlock monitor fires), on the
+    // engine and through the JIT's exception-capturing callbacks.
+    struct Case
+    {
+        const char* source;
+        uint64_t budget;
+        std::string want;
+    };
+    const Case cases[] = {
+        {kRunawayKernel, 200000, "instruction budget exceeded (200000)"},
+        {kScatterKernel, 4'000'000'000ull,
+         "out-of-bounds access to out[" + std::to_string(kBadIndex) + "]"},
+    };
+    for (const Case& c : cases) {
+        auto kernel = fe::compileKernel(c.source);
+        comp::CompileOptions copts;
+        copts.numStages = 3;
+        auto res = comp::compilePipeline(*kernel.fn, copts);
+        ASSERT_TRUE(res.ok());
+        ASSERT_GE(res.pipeline->stages.size(), 2u);
+        for (rt::TierMode tier : {rt::TierMode::kEngine, rt::TierMode::kJit}) {
+            rt::RuntimeOptions opt;
+            opt.tier = tier;
+            opt.maxInstructions = c.budget;
+            opt.deadlockTimeoutMs = 60000;
+            rt::Runtime runtime(sim::SysConfig{}, opt);
+            for (bool serial : {true, false}) {
+                SCOPED_TRACE(kernel.fn->name +
+                             (tier == rt::TierMode::kJit ? " jit" : " engine") +
+                             (serial ? " serial" : " pipeline"));
+                sim::Binding b;
+                setupFailKernel(b);
+                auto t0 = std::chrono::steady_clock::now();
+                rt::NativeStats st =
+                    serial ? runtime.runSerial(*kernel.fn, b)
+                           : runtime.runPipeline(*res.pipeline, b);
+                double secs = std::chrono::duration<double>(
+                                  std::chrono::steady_clock::now() - t0)
+                                  .count();
+                EXPECT_FALSE(st.ok);
+                EXPECT_NE(st.error.find(c.want), std::string::npos)
+                    << st.error;
+                EXPECT_EQ(st.error.find("deadlock"), std::string::npos)
+                    << st.error;
+                EXPECT_EQ(st.jitFallbacks, 0) << st.jitError;
+                EXPECT_LT(secs, 30.0);
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -1293,6 +1411,9 @@ TEST(NativeRuntime, SchedulerTwoConcurrentPipelinesShareOnePool)
     sopt.workers = 2;
     rt::Scheduler pool(sopt);
 
+    // Both runs share one preparation, as cached service entries do.
+    rt::PreparedPipeline prepared =
+        rt::preparePipeline(*res.pipeline, rt::TierMode::kEngine);
     constexpr int kRuns = 2;
     sim::Binding bindings[kRuns];
     rt::NativeStats stats[kRuns];
@@ -1305,7 +1426,7 @@ TEST(NativeRuntime, SchedulerTwoConcurrentPipelinesShareOnePool)
                 setupFilter(bindings[i]);
                 rt::Runtime runtime(sim::SysConfig{}, opt);
                 stats[i] = runtime.runPipeline(*res.pipeline,
-                                               bindings[i]);
+                                               bindings[i], &prepared);
             });
         }
         for (auto& t : threads) t.join();
@@ -1324,6 +1445,8 @@ TEST(NativeRuntime, SchedulerTwoConcurrentPipelinesShareOnePool)
         EXPECT_EQ(stats[i].sched.poolSize, 2);
         EXPECT_TRUE(
             sb.array("out")->contentEquals(*bindings[i].array("out")))
+            << "run " << i;
+        EXPECT_EQ(stats[i].totalInstructions(), sstats.totalInstructions())
             << "run " << i;
     }
 }

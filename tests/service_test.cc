@@ -72,10 +72,12 @@ specFor(const char* source)
     return spec;
 }
 
-/** Compile + native-run a spec, returning the output-image hash. */
+/**
+ * Native-run a compiled pipeline on the tier it was prepared for,
+ * returning the output-image hash.
+ */
 uint64_t
-runForHash(const driver::CompiledPipeline& cp, int64_t size,
-           rt::TierMode tier = rt::TierMode::kEngine)
+runForHash(const driver::CompiledPipeline& cp, int64_t size)
 {
     sim::Binding binding;
     driver::synthesizeBinding(*cp.kernel.fn, size, binding);
@@ -83,7 +85,6 @@ runForHash(const driver::CompiledPipeline& cp, int64_t size,
     run.backend = driver::Backend::kNative;
     run.size = size;
     run.cfg = sim::SysConfig::scaledEval();
-    run.tier = tier;
     driver::ExecOutcome out = driver::runCompiled(cp, run, binding);
     EXPECT_TRUE(out.ok) << out.error;
     return driver::hashBinding(binding);
@@ -224,26 +225,31 @@ TEST(ServiceCache, JitTierEntriesCarryArtifactsUnderTheirOwnKey)
     auto cp = driver::compileSource(jit, &err);
     ASSERT_NE(cp, nullptr) << err;
     ASSERT_TRUE(cp->ok()) << cp->error;
-    EXPECT_EQ(cp->tier, rt::TierMode::kJit);
-    ASSERT_EQ(cp->shapes.size(), cp->programs.size());
-    ASSERT_EQ(cp->jit.size(), cp->programs.size());
+    const rt::PreparedPipeline& prep = cp->prepared;
+    EXPECT_EQ(prep.tier, rt::TierMode::kJit);
+    ASSERT_EQ(prep.stages.size(), cp->compiled.pipeline->stages.size());
     int compiled = 0;
-    for (const auto& art : cp->jit) {
-        ASSERT_NE(art, nullptr);
-        if (art->ok())
+    for (const rt::PreparedStage& stage : prep.stages) {
+        // Every stage carries its decoded shape (program + kEnd
+        // sentinel) and an artifact, failed builds included.
+        ASSERT_EQ(stage.shape.code.size(), stage.program.code.size() + 1);
+        ASSERT_NE(stage.jit, nullptr);
+        if (stage.jit->ok())
             ++compiled;
     }
     EXPECT_GT(compiled, 0) << "no stage JIT-compiled: "
-                           << cp->jit[0]->error;
+                           << prep.stages[0].jit->error;
 
     // Differential oracle across tiers: the prebuilt-artifact run must
     // be bit-identical to a plain engine-tier compile+run.
     auto ep = driver::compileSource(plain, &err);
     ASSERT_NE(ep, nullptr) << err;
     ASSERT_TRUE(ep->ok()) << ep->error;
-    EXPECT_EQ(ep->jit.size(), 0u) << "default tier must not pay codegen";
-    EXPECT_EQ(runForHash(*cp, 512, rt::TierMode::kJit),
-              runForHash(*ep, 512, rt::TierMode::kEngine));
+    EXPECT_EQ(ep->prepared.tier, rt::TierMode::kEngine);
+    ASSERT_EQ(ep->prepared.stages.size(), prep.stages.size());
+    for (const rt::PreparedStage& stage : ep->prepared.stages)
+        EXPECT_EQ(stage.jit, nullptr) << "default tier must not pay codegen";
+    EXPECT_EQ(runForHash(*cp, 512), runForHash(*ep, 512));
 }
 
 TEST(ServiceCache, SingleFlightCompilesOnceUnderContention)

@@ -3,9 +3,10 @@
  * Stall-attribution tracing tests: ring retention semantics, and — for
  * both execution backends — that the emitted Chrome trace_event JSON
  * actually parses and contains at least one event for every registered
- * worker lane. The JSON is validated with a small recursive-descent
- * parser rather than string matching, because the consumer (Perfetto /
- * chrome://tracing) parses it for real.
+ * worker lane. The JSON is validated with metrics::Json's parser rather
+ * than string matching, because the consumer (Perfetto /
+ * chrome://tracing) parses it for real; the tracer writes through its
+ * own emitter, so reader and writer stay independent.
  */
 
 #include "tests/test_util.h"
@@ -22,249 +23,13 @@
 #include "compiler/compiler.h"
 #include "ir/builder.h"
 #include "frontend/frontend.h"
+#include "metrics/json.h"
 #include "runtime/runtime.h"
 #include "runtime/trace.h"
 #include "sim/machine.h"
 
 namespace phloem {
 namespace {
-
-// ---------------------------------------------------------------------
-// Minimal JSON value + parser (tests only; no external dependency).
-// ---------------------------------------------------------------------
-
-struct Json
-{
-    enum Type { kNull, kBool, kNum, kStr, kArr, kObj };
-    Type type = kNull;
-    bool boolean = false;
-    double num = 0.0;
-    std::string str;
-    std::vector<Json> arr;
-    std::map<std::string, Json> obj;
-
-    bool has(const std::string& key) const { return obj.count(key) > 0; }
-    const Json& at(const std::string& key) const { return obj.at(key); }
-};
-
-class JsonParser
-{
-  public:
-    explicit JsonParser(const std::string& text) : s_(text) {}
-
-    /** Parse the whole input; false (with error()) on malformed JSON. */
-    bool
-    parse(Json* out)
-    {
-        if (!value(out))
-            return false;
-        skipWs();
-        if (pos_ != s_.size())
-            return fail("trailing characters after top-level value");
-        return true;
-    }
-
-    const std::string& error() const { return err_; }
-
-  private:
-    bool
-    fail(const std::string& why)
-    {
-        if (err_.empty())
-            err_ = why + " at offset " + std::to_string(pos_);
-        return false;
-    }
-
-    void
-    skipWs()
-    {
-        while (pos_ < s_.size() &&
-               (s_[pos_] == ' ' || s_[pos_] == '\t' || s_[pos_] == '\n' ||
-                s_[pos_] == '\r'))
-            pos_++;
-    }
-
-    bool
-    literal(const char* word)
-    {
-        size_t len = std::string(word).size();
-        if (s_.compare(pos_, len, word) != 0)
-            return fail(std::string("expected '") + word + "'");
-        pos_ += len;
-        return true;
-    }
-
-    bool
-    value(Json* out)
-    {
-        skipWs();
-        if (pos_ >= s_.size())
-            return fail("unexpected end of input");
-        char c = s_[pos_];
-        switch (c) {
-        case '{':
-            return object(out);
-        case '[':
-            return array(out);
-        case '"':
-            out->type = Json::kStr;
-            return string(&out->str);
-        case 't':
-            out->type = Json::kBool;
-            out->boolean = true;
-            return literal("true");
-        case 'f':
-            out->type = Json::kBool;
-            out->boolean = false;
-            return literal("false");
-        case 'n':
-            out->type = Json::kNull;
-            return literal("null");
-        default:
-            return number(out);
-        }
-    }
-
-    bool
-    number(Json* out)
-    {
-        const char* start = s_.c_str() + pos_;
-        char* end = nullptr;
-        out->num = std::strtod(start, &end);
-        if (end == start)
-            return fail("expected a number");
-        out->type = Json::kNum;
-        pos_ += static_cast<size_t>(end - start);
-        return true;
-    }
-
-    bool
-    string(std::string* out)
-    {
-        if (s_[pos_] != '"')
-            return fail("expected '\"'");
-        pos_++;
-        out->clear();
-        while (pos_ < s_.size() && s_[pos_] != '"') {
-            char c = s_[pos_++];
-            if (c != '\\') {
-                *out += c;
-                continue;
-            }
-            if (pos_ >= s_.size())
-                return fail("dangling escape");
-            char esc = s_[pos_++];
-            switch (esc) {
-            case '"': *out += '"'; break;
-            case '\\': *out += '\\'; break;
-            case '/': *out += '/'; break;
-            case 'n': *out += '\n'; break;
-            case 't': *out += '\t'; break;
-            case 'r': *out += '\r'; break;
-            case 'b': *out += '\b'; break;
-            case 'f': *out += '\f'; break;
-            case 'u': {
-                if (pos_ + 4 > s_.size())
-                    return fail("truncated \\u escape");
-                // The serializer only emits \u00XX for control bytes.
-                unsigned code = 0;
-                for (int k = 0; k < 4; ++k) {
-                    char h = s_[pos_++];
-                    code <<= 4;
-                    if (h >= '0' && h <= '9')
-                        code |= static_cast<unsigned>(h - '0');
-                    else if (h >= 'a' && h <= 'f')
-                        code |= static_cast<unsigned>(h - 'a' + 10);
-                    else if (h >= 'A' && h <= 'F')
-                        code |= static_cast<unsigned>(h - 'A' + 10);
-                    else
-                        return fail("bad \\u escape digit");
-                }
-                *out += static_cast<char>(code & 0xff);
-                break;
-            }
-            default:
-                return fail("unknown escape");
-            }
-        }
-        if (pos_ >= s_.size())
-            return fail("unterminated string");
-        pos_++;  // closing quote
-        return true;
-    }
-
-    bool
-    array(Json* out)
-    {
-        out->type = Json::kArr;
-        pos_++;  // '['
-        skipWs();
-        if (pos_ < s_.size() && s_[pos_] == ']') {
-            pos_++;
-            return true;
-        }
-        for (;;) {
-            Json elem;
-            if (!value(&elem))
-                return false;
-            out->arr.push_back(std::move(elem));
-            skipWs();
-            if (pos_ >= s_.size())
-                return fail("unterminated array");
-            if (s_[pos_] == ',') {
-                pos_++;
-                continue;
-            }
-            if (s_[pos_] == ']') {
-                pos_++;
-                return true;
-            }
-            return fail("expected ',' or ']'");
-        }
-    }
-
-    bool
-    object(Json* out)
-    {
-        out->type = Json::kObj;
-        pos_++;  // '{'
-        skipWs();
-        if (pos_ < s_.size() && s_[pos_] == '}') {
-            pos_++;
-            return true;
-        }
-        for (;;) {
-            skipWs();
-            std::string key;
-            if (!string(&key))
-                return false;
-            skipWs();
-            if (pos_ >= s_.size() || s_[pos_] != ':')
-                return fail("expected ':'");
-            pos_++;
-            Json val;
-            if (!value(&val))
-                return false;
-            out->obj.emplace(std::move(key), std::move(val));
-            skipWs();
-            if (pos_ >= s_.size())
-                return fail("unterminated object");
-            if (s_[pos_] == ',') {
-                pos_++;
-                continue;
-            }
-            if (s_[pos_] == '}') {
-                pos_++;
-                return true;
-            }
-            return fail("expected ',' or '}'");
-        }
-    }
-
-    const std::string& s_;
-    size_t pos_ = 0;
-    std::string err_;
-};
 
 // ---------------------------------------------------------------------
 // Shared checks: parse a tracer's JSON and require one event per lane.
@@ -279,35 +44,35 @@ void
 checkTraceJson(const trace::Tracer& tracer, const std::string& json,
                const std::string& want_timebase)
 {
-    JsonParser parser(json);
-    Json root;
-    ASSERT_TRUE(parser.parse(&root)) << parser.error();
-    ASSERT_EQ(root.type, Json::kObj);
+    metrics::Json root;
+    std::string err;
+    ASSERT_TRUE(metrics::Json::parse(json, &root, &err)) << err;
+    ASSERT_EQ(root.kind(), metrics::Json::Kind::kObject);
     ASSERT_TRUE(root.has("otherData"));
     ASSERT_TRUE(root.at("otherData").has("timebase"));
-    EXPECT_EQ(root.at("otherData").at("timebase").str, want_timebase);
+    EXPECT_EQ(root.at("otherData").at("timebase").asString(), want_timebase);
 
     ASSERT_TRUE(root.has("traceEvents"));
-    const Json& events = root.at("traceEvents");
-    ASSERT_EQ(events.type, Json::kArr);
+    const metrics::Json& events = root.at("traceEvents");
+    ASSERT_EQ(events.kind(), metrics::Json::Kind::kArray);
 
-    std::map<int, std::string> lane_names;  // tid -> thread_name
-    std::map<int, int> lane_events;         // tid -> non-metadata count
-    for (const Json& e : events.arr) {
-        ASSERT_EQ(e.type, Json::kObj);
+    std::map<int64_t, std::string> lane_names;  // tid -> thread_name
+    std::map<int64_t, int> lane_events;         // tid -> non-metadata count
+    for (const metrics::Json& e : events.items()) {
+        ASSERT_EQ(e.kind(), metrics::Json::Kind::kObject);
         ASSERT_TRUE(e.has("ph"));
-        if (e.at("ph").str == "M") {
-            if (e.at("name").str == "thread_name")
-                lane_names[static_cast<int>(e.at("tid").num)] =
-                    e.at("args").at("name").str;
+        if (e.at("ph").asString() == "M") {
+            if (e.at("name").asString() == "thread_name")
+                lane_names[e.at("tid").asInt()] =
+                    e.at("args").at("name").asString();
             continue;
         }
         ASSERT_TRUE(e.has("tid"));
         ASSERT_TRUE(e.has("ts"));
-        lane_events[static_cast<int>(e.at("tid").num)]++;
-        if (e.at("ph").str == "X") {
+        lane_events[e.at("tid").asInt()]++;
+        if (e.at("ph").asString() == "X") {
             ASSERT_TRUE(e.has("dur"));
-            EXPECT_GE(e.at("dur").num, 0.0);
+            EXPECT_GE(e.at("dur").asDouble(), 0.0);
         }
     }
 

@@ -355,9 +355,9 @@ writeReport(const metrics::Report& report, const std::string& path)
 
 /** Execute the pipeline per --run; returns the process exit code. */
 int
-runPipeline(const driver::CompiledPipeline& cp, RunMode mode,
-            rt::TierMode tier, int64_t size, bool profile,
-            const std::string& trace_path, const std::string& report_path)
+runPipeline(const driver::CompiledPipeline& cp, RunMode mode, int64_t size,
+            bool profile, const std::string& trace_path,
+            const std::string& report_path)
 {
     const ir::Function& fn = *cp.kernel.fn;
     sim::SysConfig cfg;
@@ -375,7 +375,6 @@ runPipeline(const driver::CompiledPipeline& cp, RunMode mode,
         spec.backend = driver::Backend::kNative;
         spec.size = size;
         spec.cfg = cfg;
-        spec.tier = tier;
         if (!trace_path.empty())
             spec.tracer = &tracer;
         driver::ExecOutcome outcome =
@@ -861,7 +860,7 @@ main(int argc, char** argv)
                                report_path, quiet);
         }
         if (run_mode != RunMode::kNone)
-            return runPipeline(*cp, run_mode, tier, run_size, profile,
+            return runPipeline(*cp, run_mode, run_size, profile,
                                trace_path, report_path);
         return 0;
     } catch (const std::exception& e) {
