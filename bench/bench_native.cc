@@ -14,10 +14,15 @@
  *     than the serial baseline — this is the configuration expected to
  *     beat serial wall-clock even on modest host parallelism.
  *
+ * Every timed row runs kTrials times and reports its median-wall run,
+ * with the fastest and slowest beside it: one run of a millisecond-scale
+ * pipeline on a shared host swings several-fold.
+ *
  * Speedups are host-dependent (thread count, core count); the simulator
  * benches (bench_fig9 etc.) remain the paper-faithful numbers.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -55,6 +60,73 @@ void gather_sum(const int* restrict pos, const int* restrict col,
     }
 }
 )";
+
+/** Runs per timed row (see the file comment). */
+constexpr int kTrials = 5;
+
+/** Fastest and slowest wall time of a row's kTrials runs. */
+struct Spread
+{
+    double minMs = 0.0;
+    double maxMs = 0.0;
+};
+
+const rt::NativeStats&
+statsOf(const rt::NativeStats& s)
+{
+    return s;
+}
+
+const rt::NativeStats&
+statsOf(const driver::NativeOutcome& o)
+{
+    return o.stats;
+}
+
+bool
+succeeded(const rt::NativeStats& s)
+{
+    return s.ok;
+}
+
+bool
+succeeded(const driver::NativeOutcome& o)
+{
+    return o.correct;
+}
+
+/**
+ * Call `once` kTrials times and return the run with the median wall
+ * time; *spread gets the fastest and slowest. A failed run is returned
+ * at once.
+ */
+template <typename Once>
+auto
+medianOf(Once once, Spread* spread) -> decltype(once())
+{
+    std::vector<decltype(once())> runs;
+    for (int i = 0; i < kTrials; ++i) {
+        runs.push_back(once());
+        if (!succeeded(runs.back()))
+            return std::move(runs.back());
+    }
+    std::sort(runs.begin(), runs.end(), [](const auto& a, const auto& b) {
+        return statsOf(a).wallNs < statsOf(b).wallNs;
+    });
+    spread->minMs = statsOf(runs.front()).wallMs();
+    spread->maxMs = statsOf(runs.back()).wallMs();
+    return std::move(runs[kTrials / 2]);
+}
+
+/** "median ms (min-max)", the printed form of a timed row. */
+std::string
+fmtTiming(const rt::NativeStats& median, const Spread& spread)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%8.2f ms (%.2f-%.2f)", median.wallMs(),
+                  spread.minMs, spread.maxMs);
+    return buf;
+}
 
 /** One result row; the machine-readable run goes to the shared report. */
 struct Row
@@ -124,8 +196,8 @@ writeBenchTrace(const trace::Tracer& tracer, const std::string& name,
 
 void
 reportRow(const char* name, const char* input,
-          const driver::NativeOutcome& ser,
-          const driver::NativeOutcome& pipe, int stage_threads, int ras)
+          const driver::NativeOutcome& ser, const Spread& ser_spread,
+          const driver::NativeOutcome& pipe, const Spread& pipe_spread)
 {
     Row row;
     row.name = name;
@@ -141,12 +213,13 @@ reportRow(const char* name, const char* input,
     row.ok = true;
     g_rows.push_back(row);
     reportNativeRun(name, input, ser.stats, pipe.stats);
-    std::printf("%-12s %-12s serial %8.2f ms   pipeline %8.2f ms   "
-                "speedup %5.2fx   (%d threads + %d RAs, pop batch "
-                "%.1f)\n",
-                name, input, ser.stats.wallMs(), pipe.stats.wallMs(),
-                ser.stats.wallMs() / pipe.stats.wallMs(), stage_threads,
-                ras, pipe.stats.meanPopBatch());
+    std::printf("%-12s %-12s serial %s   pipeline %s   speedup %5.2fx   "
+                "(%d threads + %d RAs, pop batch %.1f)\n",
+                name, input, fmtTiming(ser.stats, ser_spread).c_str(),
+                fmtTiming(pipe.stats, pipe_spread).c_str(),
+                ser.stats.wallMs() / pipe.stats.wallMs(),
+                pipe.stats.numStageThreads, pipe.stats.numRAWorkers,
+                pipe.stats.meanPopBatch());
 }
 
 /**
@@ -278,26 +351,32 @@ benchGatherSum(int64_t rows, int64_t degree)
         b.setScalarInt("n", rows);
     };
 
+    // Both kernels only read their inputs and overwrite `out`, so every
+    // trial reruns on the same binding.
     rt::Runtime runtime;
-
-    sim::Binding serial_binding;
+    sim::Binding serial_binding, pipe_binding;
     make_binding(serial_binding);
-    rt::NativeStats ser =
-        runtime.runSerial(*kernel.fn, serial_binding);
-
-    trace::Tracer tracer{trace::Timebase::kWallNs};
-    rt::RuntimeOptions ropts;
-    if (!g_trace_dir.empty())
-        ropts.tracer = &tracer;
-    rt::Runtime traced_runtime{sim::SysConfig{}, ropts};
-    sim::Binding pipe_binding;
     make_binding(pipe_binding);
-    rt::NativeStats pipe =
-        traced_runtime.runPipeline(*pipeline, pipe_binding);
+    Spread ser_spread, pipe_spread;
+    rt::NativeStats ser = medianOf(
+        [&] { return runtime.runSerial(*kernel.fn, serial_binding); },
+        &ser_spread);
+    rt::NativeStats pipe = medianOf(
+        [&] { return runtime.runPipeline(*pipeline, pipe_binding); },
+        &pipe_spread);
     std::string input_name =
         std::to_string(rows) + "x" + std::to_string(degree);
-    if (!g_trace_dir.empty())
+    if (!g_trace_dir.empty()) {
+        // One extra traced run, kept out of the timed trials.
+        trace::Tracer tracer{trace::Timebase::kWallNs};
+        rt::RuntimeOptions ropts;
+        ropts.tracer = &tracer;
+        sim::Binding traced_binding;
+        make_binding(traced_binding);
+        rt::Runtime{sim::SysConfig{}, ropts}.runPipeline(*pipeline,
+                                                         traced_binding);
         writeBenchTrace(tracer, "gather_sum", input_name);
+    }
 
     Row row;
     row.name = "gather_sum";
@@ -322,12 +401,11 @@ benchGatherSum(int64_t rows, int64_t degree)
     reportNativeRun(row.name, row.input, ser, pipe);
 
     double speedup = ser.wallMs() / pipe.wallMs();
-    std::printf("%-12s %-12s serial %8.2f ms   pipeline %8.2f ms   "
-                "speedup %5.2fx   (%d threads + %d RAs, deep queues)\n",
-                "gather_sum",
-                (std::to_string(rows) + "x" + std::to_string(degree))
-                    .c_str(),
-                ser.wallMs(), pipe.wallMs(), speedup,
+    std::printf("%-12s %-12s serial %s   pipeline %s   speedup %5.2fx   "
+                "(%d threads + %d RAs, deep queues)\n",
+                "gather_sum", input_name.c_str(),
+                fmtTiming(ser, ser_spread).c_str(),
+                fmtTiming(pipe, pipe_spread).c_str(), speedup,
                 pipe.numStageThreads, pipe.numRAWorkers);
     uint64_t interp_ser = ser.totalInstructions();
     uint64_t interp_pipe = pipe.totalInstructions();
@@ -425,18 +503,27 @@ benchScalarTier(int64_t rows)
         b.setScalarInt("n", rows);
     };
 
-    auto run_tier = [&](rt::TierMode tier, sim::Binding& b) {
+    // One preparation per tier, so the JIT's trials share one cc; the
+    // stage overwrites `out` from `a` alone, so trials share a binding.
+    auto run_tier = [&](rt::TierMode tier, sim::Binding& b,
+                        Spread* spread) {
         rt::RuntimeOptions ro;
         ro.tier = tier;
         rt::Runtime runtime{sim::SysConfig{}, ro};
-        return runtime.runPipeline(*pipeline, b);
+        rt::PreparedPipeline prepared = rt::preparePipeline(*pipeline, tier);
+        return medianOf(
+            [&] { return runtime.runPipeline(*pipeline, b, &prepared); },
+            spread);
     };
 
     sim::Binding engine_binding, jit_binding;
     make_binding(engine_binding);
     make_binding(jit_binding);
-    rt::NativeStats eng = run_tier(rt::TierMode::kEngine, engine_binding);
-    rt::NativeStats jit = run_tier(rt::TierMode::kJit, jit_binding);
+    Spread eng_spread, jit_spread;
+    rt::NativeStats eng =
+        run_tier(rt::TierMode::kEngine, engine_binding, &eng_spread);
+    rt::NativeStats jit = run_tier(rt::TierMode::kJit, jit_binding,
+                                   &jit_spread);
 
     std::string input_name = std::to_string(rows) + "x10rounds";
     Row row;
@@ -461,14 +548,15 @@ benchScalarTier(int64_t rows)
     g_rows.push_back(row);
 
     double speedup = jit.wallMs() > 0.0 ? eng.wallMs() / jit.wallMs() : 0.0;
-    std::printf("%-12s %-12s engine %8.2f ms   jit      %8.2f ms   "
-                "speedup %5.2fx   (%d jit stage%s, %d fallback%s)\n",
-                "scalar_tier", input_name.c_str(), eng.wallMs(),
-                jit.wallMs(), speedup, jit.jitStages,
+    std::printf("%-12s %-12s engine %s   jit      %s   speedup %5.2fx   "
+                "(%d jit stage%s, %d fallback%s)\n",
+                "scalar_tier", input_name.c_str(),
+                fmtTiming(eng, eng_spread).c_str(),
+                fmtTiming(jit, jit_spread).c_str(), speedup, jit.jitStages,
                 jit.jitStages == 1 ? "" : "s", jit.jitFallbacks,
                 jit.jitFallbacks == 1 ? "" : "s");
     std::printf("  jit pipeline: emit %.2f ms, cc %.2f ms, dlopen %.2f ms "
-                "(outside the timed region)\n",
+                "(once, outside the timed region)\n",
                 jit.jitEmitNs / 1e6, jit.jitCompileNs / 1e6,
                 jit.jitLoadNs / 1e6);
 
@@ -488,32 +576,16 @@ benchScalarTier(int64_t rows)
 int
 main(int argc, char** argv)
 {
-    // --json= predates the shared report format and stays as an alias
-    // for --report= (same schema-versioned output, written by
-    // src/metrics).
-    std::vector<std::string> arg_store;
-    std::vector<char*> args;
-    args.push_back(argv[0]);
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a.rfind("--json=", 0) == 0)
-            a = "--report=" + a.substr(7);
-        arg_store.push_back(std::move(a));
-    }
-    for (auto& a : arg_store)
-        args.push_back(a.data());
-    args.push_back(nullptr);
-    int nargs = static_cast<int>(args.size()) - 1;
-    bench::initReport(&nargs, args.data(), "bench_native");
+    bench::initReport(&argc, argv, "bench_native");
 
     int64_t rows = 1 << 15;
     int64_t degree = 16;
     std::vector<const char*> pos;
-    for (int i = 1; i < nargs; ++i) {
-        if (std::strncmp(args[i], "--trace-dir=", 12) == 0)
-            g_trace_dir = args[i] + 12;
+    for (int i = 1; i < argc; ++i) {
+        if (std::strncmp(argv[i], "--trace-dir=", 12) == 0)
+            g_trace_dir = argv[i] + 12;
         else
-            pos.push_back(args[i]);
+            pos.push_back(argv[i]);
     }
     if (!g_trace_dir.empty()) {
         std::error_code ec;
@@ -547,16 +619,21 @@ main(int argc, char** argv)
             }
         if (c == nullptr)
             continue;
-        driver::NativeOutcome ser = ex.runNativeSerial(*c);
-        trace::Tracer tracer{trace::Timebase::kWallNs};
-        rt::RuntimeOptions ropts;
-        if (!g_trace_dir.empty())
+        Spread ser_spread, pipe_spread;
+        driver::NativeOutcome ser =
+            medianOf([&] { return ex.runNativeSerial(*c); }, &ser_spread);
+        driver::NativeOutcome pipe = medianOf(
+            [&] { return ex.runNative(*c, *cr.pipeline); }, &pipe_spread);
+        reportRow(w.name.c_str(), c->inputName.c_str(), ser, ser_spread,
+                  pipe, pipe_spread);
+        if (!g_trace_dir.empty()) {
+            // One extra traced run, kept out of the timed trials.
+            trace::Tracer tracer{trace::Timebase::kWallNs};
+            rt::RuntimeOptions ropts;
             ropts.tracer = &tracer;
-        driver::NativeOutcome pipe = ex.runNative(*c, *cr.pipeline, ropts);
-        reportRow(w.name.c_str(), c->inputName.c_str(), ser, pipe,
-                  pipe.stats.numStageThreads, pipe.stats.numRAWorkers);
-        if (!g_trace_dir.empty())
+            ex.runNative(*c, *cr.pipeline, ropts);
             writeBenchTrace(tracer, w.name, c->inputName);
+        }
     }
 
     std::printf("\n=== RA-offload configuration (deep queues) ===\n");

@@ -207,7 +207,6 @@ nativeRunToMetrics(const std::string& name, const rt::NativeStats& stats)
                    static_cast<uint64_t>(stats.numStageThreads));
     top.addCounter("ra_workers",
                    static_cast<uint64_t>(stats.numRAWorkers));
-    top.addCounter("engine", stats.engine ? 1 : 0);
     top.addCounter("failures", stats.ok ? 0 : 1);
     // Resolved stage execution tier, plus the JIT pipeline's own costs
     // when it ran: stages compiled vs. downgraded, and where the

@@ -4,6 +4,21 @@
 
 namespace phloem::metrics {
 
+namespace {
+
+/** The distribution of `kind` in `lanes`, created empty on first use. */
+Distribution&
+lane(std::map<std::string, Distribution>& lanes, const std::string& kind,
+     const std::vector<double>& edges)
+{
+    auto it = lanes.find(kind);
+    if (it == lanes.end())
+        it = lanes.emplace(kind, Distribution(edges)).first;
+    return it->second;
+}
+
+} // namespace
+
 std::vector<double>
 RollingWindow::defaultEdges()
 {
@@ -29,10 +44,8 @@ RollingWindow::observe(const std::string& kind, double latencyNs,
         b.epochSec = sec;
         b.byKind.clear();
     }
-    auto it = b.byKind.find(kind);
-    if (it == b.byKind.end())
-        it = b.byKind.emplace(kind, Distribution(edges_)).first;
-    it->second.observe(latencyNs);
+    lane(b.byKind, kind, edges_).observe(latencyNs);
+    lane(cumulative_, kind, edges_).observe(latencyNs);
 }
 
 RollingWindow::Snapshot
@@ -42,7 +55,13 @@ RollingWindow::snapshot(uint64_t nowNs) const
     uint64_t window = static_cast<uint64_t>(windowSec_);
     Snapshot out;
     out.windowSec = windowSec_;
-    out.total = Distribution(edges_);
+    out.window.total = Distribution(edges_);
+    out.cumulative.total = Distribution(edges_);
+    auto add = [this](Scope& scope, const std::string& kind,
+                      const Distribution& d) {
+        lane(scope.byKind, kind, edges_).merge(d);
+        scope.total.merge(d);
+    };
     std::lock_guard<std::mutex> g(mu_);
     for (const Bucket& b : ring_) {
         // Live iff its second lies in (sec - window, sec]; a bucket an
@@ -50,14 +69,11 @@ RollingWindow::snapshot(uint64_t nowNs) const
         if (b.epochSec == ~0ull || b.epochSec > sec ||
             b.epochSec + window <= sec)
             continue;
-        for (const auto& [kind, dist] : b.byKind) {
-            auto it = out.byKind.find(kind);
-            if (it == out.byKind.end())
-                it = out.byKind.emplace(kind, Distribution(edges_)).first;
-            it->second.merge(dist);
-            out.total.merge(dist);
-        }
+        for (const auto& [kind, dist] : b.byKind)
+            add(out.window, kind, dist);
     }
+    for (const auto& [kind, dist] : cumulative_)
+        add(out.cumulative, kind, dist);
     return out;
 }
 

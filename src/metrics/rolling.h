@@ -16,6 +16,11 @@
  * distributions — a cache regression shows up as the miss lane growing,
  * not as an unexplained blended p95 shift.
  *
+ * Beside the ring, every sample also lands in a cumulative per-kind
+ * distribution that never ages out ("what has this process served").
+ * A snapshot returns both scopes, taken under one lock, so the window
+ * and the totals always describe the same samples.
+ *
  * Time is injected (nowNs) rather than read from a clock: the server
  * passes a monotonic now, tests pass synthetic timestamps to exercise
  * rotation at window edges deterministically.
@@ -54,17 +59,24 @@ class RollingWindow
     void observe(const std::string& kind, double latencyNs,
                  uint64_t nowNs);
 
+    /** One scope's per-kind distributions and all kinds merged. */
+    struct Scope
+    {
+        std::map<std::string, Distribution> byKind;
+        Distribution total;
+    };
+
     struct Snapshot
     {
-        /** Per-kind distributions over the live window. */
-        std::map<std::string, Distribution> byKind;
-        /** All kinds merged. */
-        Distribution total;
+        /** The buckets still inside (nowNs - window, nowNs]. */
+        Scope window;
+        /** Every sample observed since construction. */
+        Scope cumulative;
         /** Window length the snapshot covers (seconds). */
         int windowSec = 0;
     };
 
-    /** Merged view of the buckets still inside (nowNs - window, nowNs]. */
+    /** Both scopes as of nowNs. */
     Snapshot snapshot(uint64_t nowNs) const;
 
     int windowSec() const { return windowSec_; }
@@ -84,6 +96,7 @@ class RollingWindow
     std::vector<double> edges_;
     mutable std::mutex mu_;
     std::vector<Bucket> ring_;
+    std::map<std::string, Distribution> cumulative_;
 };
 
 } // namespace phloem::metrics

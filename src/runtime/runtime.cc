@@ -256,12 +256,9 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
     // pool, wait for the stage workers (their halt defines completion —
     // RAs never write memory), then release the RAs.
     ResourceUsage ru0 = ResourceUsage::processNow();
-    Scheduler::Options hint;
-    hint.workers = opt_.schedWorkers;
-    hint.stealing = opt_.schedStealing;
     Scheduler& sched = opt_.schedulerOverride != nullptr
                            ? *opt_.schedulerOverride
-                           : Scheduler::shared(&hint);
+                           : Scheduler::shared();
     // Attach the rings' waiter slots before any task can touch them:
     // this is what arms the park/unpark path in the backoff.
     std::vector<QueueWaiters> queue_waiters(static_cast<size_t>(num_queues));
@@ -331,7 +328,6 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
     out.wallNs = elapsedNs(t0, t1);
     out.numStageThreads = total_threads;
     out.numRAWorkers = static_cast<int>(ra_workers.size());
-    out.engine = true;
     out.tier = tierName(opt_.tier);
     std::vector<const StageWorker*> stage_ptrs;
     for (const auto& w : stage_workers)
@@ -451,7 +447,6 @@ Runtime::runSerial(const ir::Function& fn, sim::Binding& binding)
         out.hwValid = true;
     }
     out.rusage = ResourceUsage::processNow().minus(ru0);
-    out.engine = true;
     out.tier = tierName(opt_.tier);
     recordJit(out, prepared, {&worker});
     out.workers.push_back(worker.stats);

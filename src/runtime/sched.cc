@@ -24,7 +24,6 @@
 #include <pthread.h>
 
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -425,12 +424,10 @@ Scheduler::~Scheduler()
 }
 
 Scheduler&
-Scheduler::shared(const Options* hint)
+Scheduler::shared()
 {
-    static Scheduler s([hint] {
+    static Scheduler s([] {
         Options o;
-        if (hint != nullptr)
-            o = *hint;
         if (const char* env = std::getenv("PHLOEM_SCHED_WORKERS")) {
             int n = std::atoi(env);
             if (n > 0)
@@ -439,15 +436,6 @@ Scheduler::shared(const Options* hint)
         return o;
     }());
     g_sharedSched.store(&s, std::memory_order_release);
-    if (hint != nullptr && hint->workers > 0 && hint->workers != s.poolSize()) {
-        static std::atomic<bool> warned{false};
-        if (!warned.exchange(true)) {
-            std::fprintf(stderr,
-                         "phloem: shared scheduler already sized to %d "
-                         "workers; ignoring pool-size hint %d\n",
-                         s.poolSize(), hint->workers);
-        }
-    }
     return s;
 }
 

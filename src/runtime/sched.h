@@ -235,12 +235,11 @@ class Scheduler
 
     /**
      * The process-wide shared pool every run uses by default, created
-     * on first use (PHLOEM_SCHED_WORKERS overrides the size). A hint
-     * is honored only by the call that creates the pool; later hints
-     * that disagree warn once and are ignored — one machine, one pool
-     * is the point.
+     * on first use with hardware_concurrency workers
+     * (PHLOEM_SCHED_WORKERS overrides the size) and stealing on — one
+     * machine, one pool.
      */
-    static Scheduler& shared(const Options* hint = nullptr);
+    static Scheduler& shared();
     /** The shared pool if some run already created it, else null. */
     static Scheduler* sharedIfCreated();
 

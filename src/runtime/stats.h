@@ -145,11 +145,6 @@ struct NativeStats
     double wallNs = 0.0;
     int numStageThreads = 0;
     int numRAWorkers = 0;
-    /**
-     * Stage workers ran the pre-decoded engine (the JIT tier included:
-     * it falls back to the engine per stage). Set by every run.
-     */
-    bool engine = false;
     /** Stage tier: "engine" or "jit". */
     std::string tier = "engine";
     /** JIT tier: stage workers that ran compiled code. */

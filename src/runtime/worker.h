@@ -87,17 +87,10 @@ struct RuntimeOptions
      */
     trace::Tracer* tracer = nullptr;
     /**
-     * Shared-pool size hint; 0 = hardware_concurrency. Honored only by
-     * the run that creates the process-wide pool (one machine, one
-     * pool); use schedulerOverride for a private pool of a chosen size.
-     */
-    int schedWorkers = 0;
-    /** Work stealing between pool workers. */
-    bool schedStealing = true;
-    /**
-     * Run on this scheduler instead of the process-wide shared pool.
-     * Tests use it to build private pools of known size; must outlive
-     * the run. Null = the shared pool.
+     * Run on this scheduler instead of the process-wide shared pool
+     * (sized by PHLOEM_SCHED_WORKERS, else hardware_concurrency). Tests
+     * use it to build private pools of known size and stealing mode;
+     * must outlive the run. Null = the shared pool.
      */
     Scheduler* schedulerOverride = nullptr;
     /**

@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <limits>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -174,24 +175,28 @@ Request::fromJson(const std::string& text, Request* out, std::string* err)
             }
             return false;
         }
-        if (j.at("stages").isNumber()) {
-            req.stages = static_cast<int>(j.at("stages").asInt());
-        }
-        if (j.at("size").isNumber()) req.size = j.at("size").asInt();
-        if (j.at("timeout_ms").isNumber()) {
-            req.timeoutMs = static_cast<int>(j.at("timeout_ms").asInt());
-        }
+        // Range-check the wire's int64 values before narrowing: a cast
+        // first would wrap 2^32 + 4 stages into 4.
+        auto num = [&j](const char* key, int64_t dflt) {
+            return j.at(key).isNumber() ? j.at(key).asInt() : dflt;
+        };
+        int64_t stages = num("stages", req.stages);
+        int64_t timeout_ms = num("timeout_ms", req.timeoutMs);
+        req.size = num("size", req.size);
         if (j.at("no_cache").kind() == Json::Kind::kBool) {
             req.noCache = j.at("no_cache").asBool();
         }
         if (j.at("trace").kind() == Json::Kind::kBool) {
             req.trace = j.at("trace").asBool();
         }
-        if (req.stages < 1 || req.stages > 64 || req.size < 1 ||
-            req.size > (1ll << 32) || req.timeoutMs < 1) {
+        if (stages < 1 || stages > 64 || req.size < 1 ||
+            req.size > (1ll << 32) || timeout_ms < 1 ||
+            timeout_ms > std::numeric_limits<int>::max()) {
             if (err != nullptr) *err = "run request parameter out of range";
             return false;
         }
+        req.stages = static_cast<int>(stages);
+        req.timeoutMs = static_cast<int>(timeout_ms);
     }
     *out = std::move(req);
     return true;
@@ -215,28 +220,6 @@ Response::toJson() const
     if (instructions > 0) {
         j.set("instructions",
               Json::integer(static_cast<int64_t>(instructions)));
-    }
-    if (requestsServed > 0 || cacheHits > 0 || cacheMisses > 0) {
-        j.set("cache_hits", Json::integer(static_cast<int64_t>(cacheHits)));
-        j.set("cache_misses",
-              Json::integer(static_cast<int64_t>(cacheMisses)));
-        j.set("cache_evictions",
-              Json::integer(static_cast<int64_t>(cacheEvictions)));
-        j.set("cache_entries",
-              Json::integer(static_cast<int64_t>(cacheEntries)));
-        j.set("requests_served",
-              Json::integer(static_cast<int64_t>(requestsServed)));
-    }
-    if (schedPoolSize > 0) {
-        j.set("sched_pool_size", Json::integer(schedPoolSize));
-        j.set("sched_parks",
-              Json::integer(static_cast<int64_t>(schedParks)));
-        j.set("sched_unparks",
-              Json::integer(static_cast<int64_t>(schedUnparks)));
-        j.set("sched_steals",
-              Json::integer(static_cast<int64_t>(schedSteals)));
-        j.set("sched_yields",
-              Json::integer(static_cast<int64_t>(schedYields)));
     }
     if (!state.empty()) {
         j.set("state", Json::str(state));
@@ -295,24 +278,6 @@ Response::fromJson(const std::string& text, Response* out, std::string* err)
         resp.instructions =
             static_cast<uint64_t>(j.at("instructions").asInt());
     }
-    auto u64 = [&j](const char* key) {
-        return j.at(key).isNumber()
-                   ? static_cast<uint64_t>(j.at(key).asInt())
-                   : 0ull;
-    };
-    resp.cacheHits = u64("cache_hits");
-    resp.cacheMisses = u64("cache_misses");
-    resp.cacheEvictions = u64("cache_evictions");
-    resp.cacheEntries = u64("cache_entries");
-    resp.requestsServed = u64("requests_served");
-    if (j.at("sched_pool_size").isNumber()) {
-        resp.schedPoolSize =
-            static_cast<int>(j.at("sched_pool_size").asInt());
-    }
-    resp.schedParks = u64("sched_parks");
-    resp.schedUnparks = u64("sched_unparks");
-    resp.schedSteals = u64("sched_steals");
-    resp.schedYields = u64("sched_yields");
     if (j.has("state")) {
         resp.state = j.at("state").asString();
         if (j.at("uptime_s").isNumber())

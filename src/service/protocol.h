@@ -16,10 +16,10 @@
  *
  * Requests (`op` selects the verb):
  *   "run"       compile (or cache-hit) and execute a kernel
- *   "stats"     report cache/server counters plus a schema-versioned
- *               metrics::Report snapshot (rolling-window latency
- *               distributions per cache verdict, gauges, sched counters)
- *               embedded as the nested "report" object
+ *   "stats"     reply {ok, report}: a schema-versioned metrics::Report
+ *               snapshot (cache, server and sched counters, health
+ *               gauges, rolling-window and cumulative latency
+ *               distributions per cache verdict) as a nested object
  *   "health"    cheap liveness summary: state, uptime, in-flight and
  *               queued gauges (no report, no cache walk)
  *   "ping"      liveness probe
@@ -117,36 +117,17 @@ struct Response
     int stages = 0;
     uint64_t instructions = 0;
 
-    // op == "stats" fields.
-    uint64_t cacheHits = 0;
-    uint64_t cacheMisses = 0;
-    uint64_t cacheEvictions = 0;
-    uint64_t cacheEntries = 0;
-    uint64_t requestsServed = 0;
-
     /**
-     * Shared task-pool counters, cumulative over the daemon's life
-     * (op == "stats", zero until a native run created the pool). All
-     * native requests share one fixed-size pool, so these are global,
-     * not per-request.
-     */
-    int schedPoolSize = 0;
-    uint64_t schedParks = 0;
-    uint64_t schedUnparks = 0;
-    uint64_t schedSteals = 0;
-    uint64_t schedYields = 0;
-
-    /**
-     * op == "stats": the live telemetry snapshot — a serialized
-     * metrics::Report (schema-versioned; rolling-window + cumulative
-     * latency distributions per cache verdict, gauges, counters). On
-     * the wire it is the nested "report" object; here it is kept as
-     * its JSON text so protocol.h does not depend on metrics.h — feed
-     * it to metrics::parseReport.
+     * op == "stats": the whole reply besides `ok` — a serialized
+     * metrics::Report (schema-versioned; counters, gauges, and
+     * rolling-window + cumulative latency distributions per cache
+     * verdict). On the wire it is the nested "report" object; here it
+     * is kept as its JSON text so protocol.h does not depend on
+     * metrics.h — feed it to metrics::parseReport.
      */
     std::string reportJson;
 
-    // op == "health" fields (also echoed by "stats").
+    // op == "health" fields.
     std::string state;      ///< "serving" | "draining"
     double uptimeS = 0.0;
     int64_t inflight = 0;   ///< run requests currently executing

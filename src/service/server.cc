@@ -239,20 +239,8 @@ Server::serveConnection(int fd, double queuedAtNs)
             if (!resp.ok)
                 stats_.runErrors.fetch_add(1,
                                            std::memory_order_relaxed);
-            double now = nowNs();
             window_.observe(verdict, resp.totalNs,
-                            static_cast<uint64_t>(now));
-            std::lock_guard<std::mutex> g(stats_.mu);
-            auto it = stats_.totalByVerdict.find(verdict);
-            if (it == stats_.totalByVerdict.end()) {
-                it = stats_.totalByVerdict
-                         .emplace(verdict,
-                                  metrics::Distribution(
-                                      metrics::RollingWindow::
-                                          defaultEdges()))
-                         .first;
-            }
-            it->second.observe(resp.totalNs);
+                            static_cast<uint64_t>(nowNs()));
         }
         requestsServed_.fetch_add(1, std::memory_order_relaxed);
         if (!writeFrame(fd, resp.toJson(), &err)) return;
@@ -289,25 +277,7 @@ Server::handleRequest(const Request& req, double queueWaitNs)
         return resp;
     }
     if (req.op == "stats") {
-        auto s = cache_.stats();
         resp.ok = true;
-        resp.cacheHits = s.hits;
-        resp.cacheMisses = s.misses;
-        resp.cacheEvictions = s.evictions;
-        resp.cacheEntries = s.entries;
-        resp.requestsServed =
-            requestsServed_.load(std::memory_order_relaxed);
-        // Shared task pool counters: null until some native run
-        // instantiated the pool (sim-only daemons never do).
-        if (rt::Scheduler* sched = rt::Scheduler::sharedIfCreated()) {
-            auto c = sched->counters();
-            resp.schedPoolSize = sched->poolSize();
-            resp.schedParks = c.parks;
-            resp.schedUnparks = c.unparks;
-            resp.schedSteals = c.steals;
-            resp.schedYields = c.yields;
-        }
-        fillHealth(&resp);
         resp.reportJson = buildStatsReport();
         return resp;
     }
@@ -344,6 +314,8 @@ Server::buildStatsReport()
                      ? static_cast<double>(cs.hits) /
                            static_cast<double>(lookups)
                      : 0.0);
+    top.setGauge("draining",
+                 draining_.load(std::memory_order_acquire) ? 1.0 : 0.0);
     top.setGauge("uptime_s", (nowNs() - startNs_) / 1e9);
     top.setGauge("inflight", static_cast<double>(stats_.inflight.load(
                                  std::memory_order_relaxed)));
@@ -354,6 +326,8 @@ Server::buildStatsReport()
     }
     top.setGauge("workers", static_cast<double>(workers_.size()));
     top.setGauge("window_sec", static_cast<double>(window_.windowSec()));
+    // Shared task-pool counters: the pool exists only once some native
+    // run created it (sim-only daemons never do).
     if (rt::Scheduler* sched = rt::Scheduler::sharedIfCreated()) {
         auto c = sched->counters();
         top.setGauge("sched_pool_size",
@@ -367,8 +341,7 @@ Server::buildStatsReport()
 
     // Latency distributions per cache verdict, in two scopes: the live
     // rolling window ("what is slow now") and the cumulative totals
-    // ("what has this process served") — the latter doubles as the
-    // drain report.
+    // ("what has this process served"), both from one snapshot.
     metrics::Family& lat = run.families["latency"];
     auto emit = [&lat](const std::string& verdict,
                        const std::string& scope,
@@ -383,32 +356,26 @@ Server::buildStatsReport()
         ms.setGauge("p99_ns", d.quantile(0.99));
     };
     auto snap = window_.snapshot(static_cast<uint64_t>(nowNs()));
-    for (const auto& [verdict, d] : snap.byKind)
-        emit(verdict, "window", d);
-    emit("all", "window", snap.total);
-    {
-        std::lock_guard<std::mutex> g(stats_.mu);
-        metrics::Distribution all_total(
-            metrics::RollingWindow::defaultEdges());
-        for (const auto& [verdict, d] : stats_.totalByVerdict) {
-            emit(verdict, "total", d);
-            all_total.merge(d);
-        }
-        emit("all", "total", all_total);
+    for (const auto& [scope, dists] :
+         {std::pair{"window", &snap.window},
+          std::pair{"total", &snap.cumulative}}) {
+        for (const auto& [verdict, d] : dists->byKind)
+            emit(verdict, scope, d);
+        emit("all", scope, dists->total);
     }
 
     // Window-level headline gauges so quick consumers (phloem-top, the
     // CI smoke) can skip the family walk.
-    top.setGauge("window_requests",
-                 static_cast<double>(snap.total.total));
+    const metrics::Distribution& live = snap.window.total;
+    top.setGauge("window_requests", static_cast<double>(live.total));
     top.setGauge("window_rps",
-                 static_cast<double>(snap.total.total) /
+                 static_cast<double>(live.total) /
                      static_cast<double>(window_.windowSec()));
-    top.setGauge("window_p50_ns", snap.total.quantile(0.50));
-    top.setGauge("window_p95_ns", snap.total.quantile(0.95));
-    top.setGauge("window_p99_ns", snap.total.quantile(0.99));
+    top.setGauge("window_p50_ns", live.quantile(0.50));
+    top.setGauge("window_p95_ns", live.quantile(0.95));
+    top.setGauge("window_p99_ns", live.quantile(0.99));
     uint64_t whits = 0, wlookups = 0;
-    for (const auto& [verdict, d] : snap.byKind) {
+    for (const auto& [verdict, d] : snap.window.byKind) {
         if (verdict == "hit") whits += d.total;
         if (verdict == "hit" || verdict == "miss") wlookups += d.total;
     }

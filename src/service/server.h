@@ -30,7 +30,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -67,12 +66,11 @@ struct ServerOptions
 };
 
 /**
- * Live server telemetry, designed to be read coherently while workers
- * update it: the scalar counters/gauges are atomics (single-word reads
- * can't tear), and the latency aggregates — the rolling window and the
- * cumulative per-verdict distributions — sit behind their own locks
- * (RollingWindow locks internally; `mu` guards `totalByVerdict`). The
- * stats verb therefore snapshots without stopping the worker pool.
+ * Live server counters, designed to be read coherently while workers
+ * update them: each is a single-word atomic, so reads can't tear. The
+ * latency distributions (window and cumulative) live in the server's
+ * metrics::RollingWindow, which locks internally. The stats verb
+ * therefore snapshots without stopping the worker pool.
  */
 struct ServerStats
 {
@@ -80,11 +78,6 @@ struct ServerStats
     std::atomic<uint64_t> runErrors{0};
     /** Run requests currently executing (gauge). */
     std::atomic<int64_t> inflight{0};
-
-    std::mutex mu;
-    /** Cumulative request-latency distributions keyed by cache verdict
-     *  ("hit"/"miss"/"bypass"/"error") — the final drain report. */
-    std::map<std::string, metrics::Distribution> totalByVerdict;
 };
 
 class Server
@@ -122,11 +115,12 @@ class Server
     }
 
     /**
-     * The stats-verb payload: a serialized metrics::Report holding the
-     * rolling-window and cumulative latency distributions per cache
-     * verdict, hit rates, scheduler/JIT counters, and the in-flight /
-     * queued gauges. Safe to call while the server is live (see
-     * ServerStats); also used for the final drain report.
+     * The stats-verb payload, the one encoding of the server's
+     * telemetry: a serialized metrics::Report holding the rolling-window
+     * and cumulative latency distributions per cache verdict, cache and
+     * scheduler counters, hit rates, and the state / uptime / workers /
+     * in-flight / queued gauges. Safe to call while the server is live
+     * (see ServerStats).
      */
     std::string buildStatsReport();
 

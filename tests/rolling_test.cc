@@ -2,7 +2,8 @@
  * @file
  * Tests for the rolling-window telemetry aggregator (metrics/rolling.h):
  * bucket rotation at window edges, stale-lap exclusion, empty-window
- * quantiles, and merging a window snapshot into a drain report.
+ * quantiles, the cumulative scope outliving the window, and merging a
+ * window snapshot into a drain report.
  *
  * Every test drives time through the injected nowNs parameter, so
  * bucket rotation is exercised deterministically — no sleeping.
@@ -24,11 +25,11 @@ TEST(RollingWindowTest, EmptyWindowIsZero)
 {
     RollingWindow w(60);
     auto snap = w.snapshot(123 * kSec);
-    EXPECT_EQ(snap.total.total, 0u);
-    EXPECT_TRUE(snap.byKind.empty());
-    EXPECT_DOUBLE_EQ(snap.total.quantile(0.50), 0.0);
-    EXPECT_DOUBLE_EQ(snap.total.quantile(0.95), 0.0);
-    EXPECT_DOUBLE_EQ(snap.total.mean(), 0.0);
+    EXPECT_EQ(snap.window.total.total, 0u);
+    EXPECT_TRUE(snap.window.byKind.empty());
+    EXPECT_DOUBLE_EQ(snap.window.total.quantile(0.50), 0.0);
+    EXPECT_DOUBLE_EQ(snap.window.total.quantile(0.95), 0.0);
+    EXPECT_DOUBLE_EQ(snap.window.total.mean(), 0.0);
     EXPECT_EQ(snap.windowSec, 60);
 }
 
@@ -40,12 +41,12 @@ TEST(RollingWindowTest, ObservationsLandInWindow)
     w.observe("miss", 9e6, 102 * kSec);
 
     auto snap = w.snapshot(102 * kSec);
-    EXPECT_EQ(snap.total.total, 3u);
-    ASSERT_EQ(snap.byKind.count("hit"), 1u);
-    ASSERT_EQ(snap.byKind.count("miss"), 1u);
-    EXPECT_EQ(snap.byKind.at("hit").total, 2u);
-    EXPECT_EQ(snap.byKind.at("miss").total, 1u);
-    EXPECT_DOUBLE_EQ(snap.total.sum, 12e6);
+    EXPECT_EQ(snap.window.total.total, 3u);
+    ASSERT_EQ(snap.window.byKind.count("hit"), 1u);
+    ASSERT_EQ(snap.window.byKind.count("miss"), 1u);
+    EXPECT_EQ(snap.window.byKind.at("hit").total, 2u);
+    EXPECT_EQ(snap.window.byKind.at("miss").total, 1u);
+    EXPECT_DOUBLE_EQ(snap.window.total.sum, 12e6);
 }
 
 TEST(RollingWindowTest, OldBucketsAgeOutAtWindowEdge)
@@ -55,9 +56,9 @@ TEST(RollingWindowTest, OldBucketsAgeOutAtWindowEdge)
 
     // Still visible at the last covered second: window (sec-10, sec]
     // includes epoch 100 up to snapshot second 109.
-    EXPECT_EQ(w.snapshot(109 * kSec).total.total, 1u);
+    EXPECT_EQ(w.snapshot(109 * kSec).window.total.total, 1u);
     // One second later it has aged out.
-    EXPECT_EQ(w.snapshot(110 * kSec).total.total, 0u);
+    EXPECT_EQ(w.snapshot(110 * kSec).window.total.total, 0u);
 }
 
 TEST(RollingWindowTest, BucketRecycledAfterFullLap)
@@ -70,8 +71,8 @@ TEST(RollingWindowTest, BucketRecycledAfterFullLap)
     w.observe("hit", 3e6, 105 * kSec);
 
     auto snap = w.snapshot(105 * kSec);
-    EXPECT_EQ(snap.total.total, 1u);
-    EXPECT_DOUBLE_EQ(snap.total.sum, 3e6);
+    EXPECT_EQ(snap.window.total.total, 1u);
+    EXPECT_DOUBLE_EQ(snap.window.total.sum, 3e6);
 }
 
 TEST(RollingWindowTest, StaleLapExcludedWithoutObservation)
@@ -81,7 +82,31 @@ TEST(RollingWindowTest, StaleLapExcludedWithoutObservation)
     // No writes afterwards: a snapshot several laps later must not
     // resurrect the slot even though it was never recycled.
     auto snap = w.snapshot(123 * kSec);
-    EXPECT_EQ(snap.total.total, 0u);
+    EXPECT_EQ(snap.window.total.total, 0u);
+}
+
+TEST(RollingWindowTest, CumulativeScopeSurvivesWindowExpiry)
+{
+    RollingWindow w(5);
+    w.observe("hit", 1e6, 100 * kSec);
+    w.observe("miss", 9e6, 101 * kSec);
+    w.observe("hit", 3e6, 107 * kSec);  // recycles slot 107 % 5 == 2
+
+    // Laps later the window holds nothing, the totals hold every sample.
+    auto snap = w.snapshot(130 * kSec);
+    EXPECT_EQ(snap.window.total.total, 0u);
+    EXPECT_TRUE(snap.window.byKind.empty());
+    EXPECT_EQ(snap.cumulative.total.total, 3u);
+    EXPECT_DOUBLE_EQ(snap.cumulative.total.sum, 13e6);
+    ASSERT_EQ(snap.cumulative.byKind.count("hit"), 1u);
+    ASSERT_EQ(snap.cumulative.byKind.count("miss"), 1u);
+    EXPECT_EQ(snap.cumulative.byKind.at("hit").total, 2u);
+    EXPECT_DOUBLE_EQ(snap.cumulative.byKind.at("miss").sum, 9e6);
+
+    // While a sample is live, both scopes count it.
+    snap = w.snapshot(107 * kSec);
+    EXPECT_EQ(snap.window.total.total, 1u);
+    EXPECT_EQ(snap.cumulative.total.total, 3u);
 }
 
 TEST(RollingWindowTest, FutureBucketsExcluded)
@@ -90,7 +115,7 @@ TEST(RollingWindowTest, FutureBucketsExcluded)
     w.observe("hit", 1e6, 105 * kSec);
     // Snapshot taken at an earlier second than the observation: the
     // bucket is in the snapshot's future and must not appear.
-    EXPECT_EQ(w.snapshot(103 * kSec).total.total, 0u);
+    EXPECT_EQ(w.snapshot(103 * kSec).window.total.total, 0u);
 }
 
 TEST(RollingWindowTest, QuantilesReflectWindowOnly)
@@ -103,10 +128,10 @@ TEST(RollingWindowTest, QuantilesReflectWindowOnly)
         w.observe("hit", 2e6, (200 + static_cast<uint64_t>(i % 5)) * kSec);
 
     auto snap = w.snapshot(205 * kSec);
-    EXPECT_EQ(snap.total.total, 100u);
+    EXPECT_EQ(snap.window.total.total, 100u);
     // All observations sit in the bucket containing 2e6; the p99
     // estimate must stay well below the 5e9 outlier.
-    EXPECT_LT(snap.total.quantile(0.99), 1e7);
+    EXPECT_LT(snap.window.total.quantile(0.99), 1e7);
 }
 
 TEST(RollingWindowTest, SnapshotMergesIntoDrainReport)
@@ -123,7 +148,7 @@ TEST(RollingWindowTest, SnapshotMergesIntoDrainReport)
     // Qualified: gtest's Test::Run member otherwise shadows the type.
     ::phloem::metrics::Run& run =
         report.run("phloemd", {{"source", "stats"}});
-    for (const auto& [verdict, d] : snap.byKind) {
+    for (const auto& [verdict, d] : snap.window.byKind) {
         MetricSet& ms =
             run.families["latency"].at({{"verdict", verdict}});
         ms.dist("latency_ns", RollingWindow::defaultEdges()).merge(d);
@@ -152,11 +177,11 @@ TEST(RollingWindowTest, ObservationsSpreadAcrossDistinctBuckets)
     RollingWindow w(4);
     for (uint64_t s = 0; s < 4; ++s)
         w.observe("hit", 1e6, (200 + s) * kSec);
-    EXPECT_EQ(w.snapshot(203 * kSec).total.total, 4u);
+    EXPECT_EQ(w.snapshot(203 * kSec).window.total.total, 4u);
     // Advancing one second drops exactly the oldest bucket.
-    EXPECT_EQ(w.snapshot(204 * kSec).total.total, 3u);
-    EXPECT_EQ(w.snapshot(205 * kSec).total.total, 2u);
-    EXPECT_EQ(w.snapshot(207 * kSec).total.total, 0u);
+    EXPECT_EQ(w.snapshot(204 * kSec).window.total.total, 3u);
+    EXPECT_EQ(w.snapshot(205 * kSec).window.total.total, 2u);
+    EXPECT_EQ(w.snapshot(207 * kSec).window.total.total, 0u);
 }
 
 } // namespace

@@ -14,17 +14,21 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <sys/socket.h>
 #include <sys/stat.h>
+#include <sys/un.h>
 #include <thread>
+#include <unistd.h>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "driver/compile_service.h"
+#include "metrics/json.h"
 #include "metrics/metrics.h"
 #include "runtime/jit.h"
 #include "service/cache.h"
@@ -329,6 +333,18 @@ TEST(ServiceProtocol, RejectsMalformedRequests)
     // Out-of-range parameters are rejected, not clamped silently.
     EXPECT_FALSE(svc::Request::fromJson(
         R"({"op":"run","source":"x","stages":0})", &req, &err));
+    // ...checked before narrowing to int: 2^32 + 4 stages is not 4, and
+    // 2^32 + 5000 ms is not 5000.
+    for (const char* field :
+         {R"("stages":4294967300)", R"("timeout_ms":4294972296)"}) {
+        err.clear();
+        EXPECT_FALSE(svc::Request::fromJson(
+            std::string(R"({"op":"run","source":"x",)") + field + "}", &req,
+            &err))
+            << field;
+        EXPECT_NE(err.find("out of range"), std::string::npos)
+            << field << ": " << err;
+    }
     // An unrecognized tier is a protocol error, not a silent default;
     // so are the spellings of the removed interpreter tier.
     for (const char* tier : {"turbo", "interp", "interpreter"}) {
@@ -435,6 +451,37 @@ testSocketPath(const char* tag)
            std::to_string(::getpid()) + ".sock";
 }
 
+/** The phloemd run of a stats report (null if it does not parse). */
+const metrics::Run*
+statsRun(const std::string& reportJson, metrics::Report* report)
+{
+    std::string err;
+    EXPECT_TRUE(metrics::parseReport(reportJson, report, &err)) << err;
+    return report->findRun("phloemd", {{"source", "stats"}});
+}
+
+/** One request frame on a fresh raw connection; the reply's JSON. */
+metrics::Json
+rawCall(const std::string& socketPath, const std::string& payload)
+{
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, socketPath.c_str(),
+                 sizeof(addr.sun_path) - 1);
+    int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    std::string text, err;
+    metrics::Json reply;
+    if (fd >= 0 &&
+        ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) ==
+            0 &&
+        svc::writeFrame(fd, payload, &err) &&
+        svc::readFrame(fd, &text, &err) == svc::ReadResult::kOk) {
+        EXPECT_TRUE(metrics::Json::parse(text, &reply, &err)) << err;
+    }
+    if (fd >= 0) ::close(fd);
+    return reply;
+}
+
 TEST(ServiceServer, ServesColdThenHitWithIdenticalOutput)
 {
     svc::ServerOptions opts;
@@ -487,9 +534,12 @@ TEST(ServiceServer, ServesColdThenHitWithIdenticalOutput)
     svc::Response st;
     ASSERT_TRUE(client.call(stats, &st, &err)) << err;
     EXPECT_TRUE(st.ok);
-    EXPECT_EQ(st.cacheHits, 1u);
-    EXPECT_EQ(st.cacheMisses, 1u);
-    EXPECT_GE(st.requestsServed, 4u);
+    metrics::Report report;
+    const metrics::Run* srun = statsRun(st.reportJson, &report);
+    ASSERT_NE(srun, nullptr);
+    EXPECT_EQ(srun->top.counters.at("cache_hits"), 1u);
+    EXPECT_EQ(srun->top.counters.at("cache_misses"), 1u);
+    EXPECT_GE(srun->top.counters.at("requests_served"), 4u);
 
     server.stop();
 }
@@ -705,16 +755,15 @@ TEST(ServiceServer, StatsVerbReturnsParseableWindowedReport)
     svc::Response st;
     ASSERT_TRUE(client.call(stats, &st, &err)) << err;
     ASSERT_TRUE(st.ok);
-    // The stats verb carries the health fields too.
-    EXPECT_EQ(st.state, "serving");
-
-    ASSERT_FALSE(st.reportJson.empty());
     metrics::Report report;
-    ASSERT_TRUE(metrics::parseReport(st.reportJson, &report, &err))
-        << err;
-    const metrics::Run* srun =
-        report.findRun("phloemd", {{"source", "stats"}});
+    const metrics::Run* srun = statsRun(st.reportJson, &report);
     ASSERT_NE(srun, nullptr);
+    // The health facts ride in the report as gauges.
+    EXPECT_DOUBLE_EQ(srun->top.gauges.at("draining"), 0.0);
+    EXPECT_DOUBLE_EQ(srun->top.gauges.at("workers"), 2.0);
+    EXPECT_GE(srun->top.gauges.at("uptime_s"), 0.0);
+    EXPECT_DOUBLE_EQ(srun->top.gauges.at("inflight"), 0.0);
+    EXPECT_DOUBLE_EQ(srun->top.gauges.at("queued_conns"), 0.0);
 
     // Counters agree with what we just drove: 2 run requests, one
     // miss + one hit.
@@ -743,6 +792,21 @@ TEST(ServiceServer, StatsVerbReturnsParseableWindowedReport)
             EXPECT_EQ(p->metrics.dists.at("latency_ns").total, expect);
         }
     }
+
+    // On the wire the reply is exactly {ok, report}: the report is the
+    // one encoding of the server's telemetry.
+    metrics::Json raw = rawCall(opts.socketPath, R"({"op":"stats"})");
+    std::vector<std::string> keys;
+    for (const auto& [key, value] : raw.fields())
+        keys.push_back(key);
+    EXPECT_EQ(keys, (std::vector<std::string>{"ok", "report"}));
+    EXPECT_TRUE(raw.at("ok").asBool());
+
+    // A drain flips the draining gauge.
+    server.requestDrain();
+    srun = statsRun(server.buildStatsReport(), &report);
+    ASSERT_NE(srun, nullptr);
+    EXPECT_DOUBLE_EQ(srun->top.gauges.at("draining"), 1.0);
 
     server.stop();
 }

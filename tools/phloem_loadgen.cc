@@ -418,73 +418,66 @@ main(int argc, char** argv)
     }
     run.top.setGauge("same_kernel_speedup", same_kernel_speedup);
 
-    // Server-side cache counters, so the report shows the daemon's view
-    // (single-flight waiters count as hits there too).
+    // The daemon's own view from its stats report: cache counters
+    // (single-flight waiters count as hits there too), the shared
+    // task-pool counters, and its rolling window of the burst.
     {
         svc::Client c;
         svc::Request stats;
         stats.op = "stats";
         svc::Response resp;
+        metrics::Report sreport;
+        std::string perr;
+        const metrics::Run* srun = nullptr;
         if (c.connect(opt.socket, &err) && c.call(stats, &resp, &err) &&
-            resp.ok) {
-            run.top.addCounter("server_cache_hits", resp.cacheHits);
-            run.top.addCounter("server_cache_misses", resp.cacheMisses);
+            resp.ok &&
+            metrics::parseReport(resp.reportJson, &sreport, &perr)) {
+            for (const auto& r : sreport.runs)
+                if (r.name == "phloemd") { srun = &r; break; }
+        }
+        if (srun != nullptr) {
+            const metrics::MetricSet& st = srun->top;
+            auto sc = [&st](const char* name) {
+                auto it = st.counters.find(name);
+                return it != st.counters.end() ? it->second : 0;
+            };
+            auto sg = [&st](const char* name) {
+                auto it = st.gauges.find(name);
+                return it != st.gauges.end() ? it->second : 0.0;
+            };
+            run.top.addCounter("server_cache_hits", sc("cache_hits"));
+            run.top.addCounter("server_cache_misses", sc("cache_misses"));
             run.top.addCounter("server_cache_evictions",
-                               resp.cacheEvictions);
-            run.top.setGauge("server_cache_entries",
-                             static_cast<double>(resp.cacheEntries));
+                               sc("cache_evictions"));
+            run.top.setGauge("server_cache_entries", sg("cache_entries"));
             // Shared task-pool counters: all native requests multiplex
             // onto one fixed pool, so parks/steals here prove the
             // daemon ran concurrency x stages tasks without spawning
-            // that many threads.
-            if (resp.schedPoolSize > 0) {
-                run.top.setGauge("sched_pool_size",
-                                 static_cast<double>(resp.schedPoolSize));
-                run.top.addCounter("sched_parks", resp.schedParks);
-                run.top.addCounter("sched_unparks", resp.schedUnparks);
-                run.top.addCounter("sched_steals", resp.schedSteals);
-                run.top.addCounter("sched_yields", resp.schedYields);
+            // that many threads. Absent until a native run created it.
+            if (sg("sched_pool_size") > 0) {
+                run.top.setGauge("sched_pool_size", sg("sched_pool_size"));
+                for (const char* name : {"sched_parks", "sched_unparks",
+                                         "sched_steals", "sched_yields"})
+                    run.top.addCounter(name, sc(name));
             }
-            // Cross-check: the daemon's own rolling-window view of the
-            // burst we just drove, straight from the stats-verb report.
-            // Client latency includes the socket round trip, so the
-            // server's percentiles sit at or below ours; hit rates
-            // should agree (the window still covers the whole burst
-            // when the run is shorter than the window).
-            metrics::Report sreport;
-            std::string perr;
-            const metrics::Run* srun = nullptr;
-            if (!resp.reportJson.empty() &&
-                metrics::parseReport(resp.reportJson, &sreport, &perr)) {
-                for (const auto& r : sreport.runs)
-                    if (r.name == "phloemd") { srun = &r; break; }
-            }
-            if (srun != nullptr) {
-                auto sg = [srun](const char* name) {
-                    auto it = srun->top.gauges.find(name);
-                    return it != srun->top.gauges.end() ? it->second
-                                                        : 0.0;
-                };
-                run.top.setGauge("server_window_requests",
-                                 sg("window_requests"));
-                run.top.setGauge("server_window_p50_ns",
-                                 sg("window_p50_ns"));
-                run.top.setGauge("server_window_p95_ns",
-                                 sg("window_p95_ns"));
-                run.top.setGauge("server_window_hit_rate",
-                                 sg("window_hit_rate"));
-                metrics::Distribution all_d(edges);
-                all_d.merge(hit_d);
-                all_d.merge(cold_d);
-                std::printf(
-                    "loadgen: server window: %.0f requests, p95 "
-                    "%.3f ms, hit rate %.1f%% (client-side p95 "
-                    "%.3f ms, hit rate %.1f%%)\n",
-                    sg("window_requests"),
-                    sg("window_p95_ns") / 1e6,
-                    sg("window_hit_rate") * 100.0,
-                    all_d.quantile(0.95) / 1e6, hit_rate * 100.0);
-            }
+            // Cross-check: the daemon's rolling-window view of the
+            // burst we just drove. Client latency includes the socket
+            // round trip, so the server's percentiles sit at or below
+            // ours; hit rates should agree (the window still covers the
+            // whole burst when the run is shorter than the window).
+            for (const char* name :
+                 {"window_requests", "window_p50_ns", "window_p95_ns",
+                  "window_hit_rate"})
+                run.top.setGauge(std::string("server_") + name, sg(name));
+            metrics::Distribution all_d(edges);
+            all_d.merge(hit_d);
+            all_d.merge(cold_d);
+            std::printf("loadgen: server window: %.0f requests, p95 "
+                        "%.3f ms, hit rate %.1f%% (client-side p95 "
+                        "%.3f ms, hit rate %.1f%%)\n",
+                        sg("window_requests"), sg("window_p95_ns") / 1e6,
+                        sg("window_hit_rate") * 100.0,
+                        all_d.quantile(0.95) / 1e6, hit_rate * 100.0);
         }
     }
 

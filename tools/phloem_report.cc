@@ -137,15 +137,14 @@ void
 printNativeSummary(const metrics::Run& run)
 {
     std::printf("  wall %.3f ms, %llu stage threads + %llu RAs, "
-                "%llu instructions%s\n",
+                "%llu instructions\n",
                 gaugeOr(run.top, "wall_ns") / 1e6,
                 static_cast<unsigned long long>(
                     counterOr(run.top, "stage_threads")),
                 static_cast<unsigned long long>(
                     counterOr(run.top, "ra_workers")),
                 static_cast<unsigned long long>(
-                    counterOr(run.top, "instructions")),
-                counterOr(run.top, "engine") > 0 ? " (engine)" : "");
+                    counterOr(run.top, "instructions")));
     auto fam = run.families.find("queue");
     if (fam == run.families.end())
         return;

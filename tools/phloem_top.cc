@@ -118,10 +118,9 @@ renderScope(const metrics::Run& run, const char* scope)
     }
 }
 
-/** One full screen from one stats response. */
+/** One full screen from one stats report. */
 void
-render(const svc::Response& resp, const metrics::Report& report,
-       bool clear)
+render(const metrics::Report& report, bool clear)
 {
     // Home + clear-to-end keeps the redraw flicker-free (no full-screen
     // erase between frames).
@@ -138,12 +137,12 @@ render(const svc::Response& resp, const metrics::Report& report,
     }
     const metrics::MetricSet& top = run->top;
 
-    std::printf("phloemd %s  up %s  workers %d  inflight %lld  "
-                "queued %lld\n",
-                resp.state.c_str(), fmtUptime(resp.uptimeS).c_str(),
-                resp.workersTotal,
-                static_cast<long long>(resp.inflight),
-                static_cast<long long>(resp.queuedConns));
+    std::printf("phloemd %s  up %s  workers %.0f  inflight %.0f  "
+                "queued %.0f\n",
+                gauge(top, "draining") > 0 ? "draining" : "serving",
+                fmtUptime(gauge(top, "uptime_s")).c_str(),
+                gauge(top, "workers"), gauge(top, "inflight"),
+                gauge(top, "queued_conns"));
     std::printf("requests %llu (run %llu, errors %llu)   cache "
                 "%llu hit / %llu miss (%.1f%%), %0.f entries, "
                 "%llu evicted\n",
@@ -293,7 +292,7 @@ main(int argc, char** argv)
                 return 1;
             }
             if (first && !opt.once) std::printf("\033[2J");
-            render(resp, report, !opt.once);
+            render(report, !opt.once);
         }
         first = false;
         ++shown;
