@@ -74,10 +74,8 @@ compileSource(const CompileSpec& spec, std::string* err)
         // Prepare each stage once (replicas and runs share it); a
         // pipeline that failed verification is never executed, so its
         // preparation is skipped rather than risked.
-        cp->prepared.tier = spec.tier;
         if (cp->compiled.ok())
-            cp->prepared =
-                rt::preparePipeline(*cp->compiled.pipeline, spec.tier);
+            cp->prepared = rt::preparePipeline(*cp->compiled.pipeline);
     } catch (const std::exception& e) {
         cp->error = e.what();
     }
@@ -136,7 +134,6 @@ runCompiled(const CompiledPipeline& cp, const RunSpec& spec,
         ropts.deadlockTimeoutMs = spec.deadlockTimeoutMs;
         ropts.maxInstructions = spec.maxInstructions;
         ropts.tracer = spec.tracer;
-        ropts.tier = cp.prepared.tier;
         ropts.requestId = spec.requestId;
         rt::Runtime runtime{spec.cfg, ropts};
         out.native = runtime.runPipeline(*cp.compiled.pipeline, binding,

@@ -41,19 +41,12 @@ struct CompileSpec
     std::string kernelName;
     /** Pass/stage knobs. Pragma annotations are applied on top. */
     comp::CompileOptions opts;
-    /**
-     * Execution tier the pipeline is prepared for, and that native runs
-     * of it use. kJit makes compileSource also emit + compile each
-     * stage's native artifact (the .so is cached alongside the
-     * pipeline, so service cache hits skip JIT codegen too).
-     */
-    rt::TierMode tier = rt::TierMode::kEngine;
 };
 
 /**
  * One compiled pipeline, immutable after compileSource() returns: the
- * lowered kernel, the pipeline, and each stage prepared for the spec's
- * tier (what the native runtime would otherwise redo per run). Shared
+ * lowered kernel, the pipeline, and each stage prepared (what the
+ * native runtime would otherwise redo per run). Shared
  * const across concurrent runs.
  */
 struct CompiledPipeline
@@ -63,10 +56,8 @@ struct CompiledPipeline
     /** Options after applying the kernel's pragma annotations. */
     comp::CompileOptions effectiveOpts;
     /**
-     * Every stage flattened, decoded and, for CompileSpec::tier kJit,
-     * JIT-compiled (failed artifacts kept: the runtime downgrades those
-     * stages to the engine). Runs use its tier; a cache hit skips all
-     * of that work. Empty when the pipeline failed verification.
+     * Every stage flattened and decoded; a cache hit skips that work.
+     * Empty when the pipeline failed verification.
      */
     rt::PreparedPipeline prepared;
     /** Wall time of frontend + passes + preparation, in nanoseconds. */
@@ -146,8 +137,8 @@ void synthesizeBinding(const ir::Function& fn, int64_t size,
 
 /**
  * Execute a compiled pipeline over an already-synthesized binding.
- * Native runs use the pipeline's prepared stages and their tier (no
- * per-request flatten, decode or codegen); sim runs include the
+ * Native runs use the pipeline's prepared stages (no per-request
+ * flatten or decode); sim runs include the
  * Fig. 11 energy gauges in the metrics run. Deadlocks and worker
  * failures come back as ok=false with the backend's diagnostic.
  */

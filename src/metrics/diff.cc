@@ -48,11 +48,12 @@ classifyMetric(const std::string& path, bool isCounter)
     // Scheduling noise: meaningful to read, meaningless to gate. Block
     // counts, scheduler parks/unparks/steals/yields, occupancy
     // high-water marks, batch shapes, and trace-lane timings all vary
-    // run-to-run on a loaded host. The pool's size and stealing flag
-    // are configuration and stay exact.
+    // run-to-run on a loaded host; the pool's size follows the host's
+    // core count. The stealing flag is configuration and stays exact.
     if (contains(path, "lane[") || contains(leaf, "block") ||
-        leaf == "sched_parks" || leaf == "sched_unparks" ||
-        leaf == "sched_steals" || leaf == "sched_yields" ||
+        leaf == "sched_pool_size" || leaf == "sched_parks" ||
+        leaf == "sched_unparks" || leaf == "sched_steals" ||
+        leaf == "sched_yields" ||
         contains(leaf, "occupancy") || contains(leaf, "residual") ||
         contains(leaf, "batch") || contains(leaf, "halts") ||
         contains(leaf, "events_dropped")) {

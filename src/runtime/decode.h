@@ -105,7 +105,7 @@ struct DInst
      * Replica-relative queue id (the raw instruction's queue operand);
      * -1 when no queue. Survives relocation, so one decoded shape can
      * be re-based for any replica or run (prepared pipelines share
-     * shapes and the JIT bakes this id into emitted code).
+     * shapes).
      */
     int32_t queueRel = -1;
     /** Absolute (replica-resolved) queue id; -1 until relocated. */

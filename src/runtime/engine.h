@@ -10,8 +10,8 @@
  * one dispatch.
  *
  * Blocking queue ops, consumer-side batching, instruction accounting
- * and the barrier come from StageContext (runtime/worker.h), which the
- * JIT host shares; this file is only the dispatch loop and its
+ * and the barrier come from StageContext (runtime/worker.h), the
+ * engine's base; this file is only the dispatch loop and its
  * handlers.
  *
  * Semantics are bit-identical to the simulator's: both run the same

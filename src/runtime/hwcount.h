@@ -80,7 +80,7 @@ struct HwCounts
         stalledCycles += other.stalledCycles;
     }
 
-    /** this - earlier, clamped at 0 per counter (multiplexing jitter). */
+    /** this - earlier, clamped at 0 per counter (multiplexing noise). */
     HwCounts
     minus(const HwCounts& earlier) const
     {

@@ -11,7 +11,6 @@
 #include "base/thread_name.h"
 #include "ir/op.h"
 #include "runtime/hwcount.h"
-#include "runtime/jit.h"
 #include "runtime/sched.h"
 #include "sim/program.h"
 
@@ -41,64 +40,24 @@ workerMain(W& worker, RunControl& ctl)
     }
 }
 
-const char*
-tierName(TierMode t)
-{
-    return t == TierMode::kJit ? "jit" : "engine";
-}
-
-/**
- * Fold the preparation's JIT build costs and each stage worker's
- * outcome (compiled code or engine fallback) into `out`.
- */
-void
-recordJit(NativeStats& out, const PreparedPipeline& prepared,
-          const std::vector<const StageWorker*>& workers)
-{
-    if (prepared.tier != TierMode::kJit)
-        return;
-    for (const PreparedStage& stage : prepared.stages) {
-        out.jitEmitNs += stage.jit->emitNs;
-        out.jitCompileNs += stage.jit->compileNs;
-        out.jitLoadNs += stage.jit->loadNs;
-        if (!stage.jit->ok() && out.jitError.empty())
-            out.jitError = stage.jit->error;
-    }
-    for (const StageWorker* w : workers)
-        (w->runsJit() ? out.jitStages : out.jitFallbacks)++;
-}
-
 } // namespace
 
 PreparedStage
-prepareStage(const ir::Function& fn, TierMode tier)
+prepareStage(const ir::Function& fn)
 {
     PreparedStage stage;
     stage.program = sim::flatten(fn);
     stage.shape = decodeShape(stage.program);
-    if (tier == TierMode::kJit) {
-        // A JIT problem is never fatal: the failed artifact downgrades
-        // the stage to the engine.
-        try {
-            stage.jit = jitCompileStage(stage.program, stage.shape,
-                                        fn.name);
-        } catch (const std::exception& e) {
-            auto failed = std::make_shared<JitArtifact>();
-            failed->error = std::string("jit setup failed: ") + e.what();
-            stage.jit = std::move(failed);
-        }
-    }
     return stage;
 }
 
 PreparedPipeline
-preparePipeline(const ir::Pipeline& pipeline, TierMode tier)
+preparePipeline(const ir::Pipeline& pipeline)
 {
     PreparedPipeline out;
-    out.tier = tier;
     out.stages.reserve(pipeline.stages.size());
     for (const auto& stage : pipeline.stages)
-        out.stages.push_back(prepareStage(*stage, tier));
+        out.stages.push_back(prepareStage(*stage));
     return out;
 }
 
@@ -109,12 +68,9 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
     // Prepare before the timed region; replicas share each stage.
     PreparedPipeline local;
     if (prepared == nullptr) {
-        local = preparePipeline(pipeline, opt_.tier);
+        local = preparePipeline(pipeline);
         prepared = &local;
     }
-    phloem_assert(prepared->tier == opt_.tier, "pipeline prepared for ",
-                  tierName(prepared->tier), " cannot run on ",
-                  tierName(opt_.tier));
     phloem_assert(prepared->stages.size() == pipeline.stages.size(),
                   "prepared stage count (", prepared->stages.size(),
                   ") does not match pipeline stages (",
@@ -183,7 +139,7 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
         for (int s = 0; s < stages_per_replica; ++s) {
             std::string name =
                 pipeline.stages[static_cast<size_t>(s)]->name +
-                (replicas > 1 ? "@" + std::to_string(r) : "");
+                (replicas > 1 ? '@' + std::to_string(r) : "");
             stage_workers.push_back(std::make_unique<StageWorker>(
                 std::move(name), prepared->stages[static_cast<size_t>(s)],
                 binding, r, /*queue_offset=*/r * stride, stride, replicas,
@@ -197,7 +153,7 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
         for (const auto& ra : pipeline.ras) {
             std::string name =
                 "ra:" + ra.arrayName +
-                (replicas > 1 ? "@" + std::to_string(r) : "");
+                (replicas > 1 ? '@' + std::to_string(r) : "");
             ra_workers.push_back(std::make_unique<RAWorker>(
                 std::move(name), ra, binding.array(ra.arrayName, r),
                 queue_ptrs[static_cast<size_t>(ra.inQueue + r * stride)],
@@ -328,11 +284,6 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
     out.wallNs = elapsedNs(t0, t1);
     out.numStageThreads = total_threads;
     out.numRAWorkers = static_cast<int>(ra_workers.size());
-    out.tier = tierName(opt_.tier);
-    std::vector<const StageWorker*> stage_ptrs;
-    for (const auto& w : stage_workers)
-        stage_ptrs.push_back(w.get());
-    recordJit(out, *prepared, stage_ptrs);
     out.sched = sched_stats;
     out.hwLanes = std::move(hw_lanes);
     for (const auto& lane : out.hwLanes)
@@ -398,10 +349,8 @@ Runtime::runPipeline(const ir::Pipeline& pipeline, sim::Binding& binding,
 NativeStats
 Runtime::runSerial(const ir::Function& fn, sim::Binding& binding)
 {
-    PreparedPipeline prepared;
-    prepared.tier = opt_.tier;
-    prepared.stages.push_back(prepareStage(fn, opt_.tier));
-    const sim::Program& prog = prepared.stages[0].program;
+    PreparedStage prepared = prepareStage(fn);
+    const sim::Program& prog = prepared.program;
 
     // A serial function must be self-contained: the worker below gets no
     // queues, so a stray enq/deq (e.g. a pipeline stage passed here by
@@ -423,7 +372,7 @@ Runtime::runSerial(const ir::Function& fn, sim::Binding& binding)
     RunControl ctl;
     ctl.opt = opt_;
     StageBarrier barrier(1);
-    StageWorker worker(fn.name, prepared.stages[0], binding, /*replica=*/0,
+    StageWorker worker(fn.name, prepared, binding, /*replica=*/0,
                        /*queue_offset=*/0, /*queue_stride=*/0,
                        /*num_replicas=*/1, {}, &barrier, &ctl);
     if (opt_.tracer != nullptr)
@@ -447,8 +396,6 @@ Runtime::runSerial(const ir::Function& fn, sim::Binding& binding)
         out.hwValid = true;
     }
     out.rusage = ResourceUsage::processNow().minus(ru0);
-    out.tier = tierName(opt_.tier);
-    recordJit(out, prepared, {&worker});
     out.workers.push_back(worker.stats);
     if (ctl.aborted()) {
         out.ok = false;

@@ -12,9 +12,8 @@
  * task blocked on a full/empty ring parks and yields its pool worker;
  * the scheduler's all-parked monitor is the one deadlock detector.
  * Each stage is prepared once — the same sim::flatten instruction
- * stream as the simulator, decoded, and on the JIT tier compiled — and
- * run pre-decoded (runtime/engine.h) or compiled (runtime/jit.h)
- * through the same functional core (sim/eval.h), so
+ * stream as the simulator, decoded — and run pre-decoded
+ * (runtime/engine.h) through the same functional core (sim/eval.h), so
  * its output is bit-for-bit identical to the simulator's — which the
  * differential tests enforce.
  *
@@ -26,7 +25,6 @@
 #ifndef PHLOEM_RUNTIME_RUNTIME_H
 #define PHLOEM_RUNTIME_RUNTIME_H
 
-#include <memory>
 #include <vector>
 
 #include "ir/pipeline.h"
@@ -39,15 +37,11 @@
 
 namespace phloem::rt {
 
-struct JitArtifact;
-using JitArtifactPtr = std::shared_ptr<const JitArtifact>;
-
 /**
- * One stage ready to run: its flattened program, the program's decoded
- * replica-independent shape and, when prepared for kJit, its compiled
- * artifact (failed builds included: that stage runs on the engine).
- * Only read while running, so one prepared stage backs every replica
- * and any number of concurrent runs.
+ * One stage ready to run: its flattened program and the program's
+ * decoded replica-independent shape. Only read while running, so one
+ * prepared stage backs every replica and any number of concurrent
+ * runs.
  *
  * The shape points into the program, so a prepared stage moves but is
  * never copied. The stage's ir::Function must outlive it.
@@ -56,8 +50,6 @@ struct PreparedStage
 {
     sim::Program program;
     DecodedProgram shape;
-    /** kJit only; null on kEngine. */
-    JitArtifactPtr jit;
 
     PreparedStage() = default;
     PreparedStage(PreparedStage&&) = default;
@@ -66,24 +58,18 @@ struct PreparedStage
     PreparedStage& operator=(const PreparedStage&) = delete;
 };
 
-/** Every stage of one pipeline, prepared for one tier. */
+/** Every stage of one pipeline, prepared. */
 struct PreparedPipeline
 {
-    TierMode tier = TierMode::kEngine;
     /** One per pipeline stage, in stage order (replicas share them). */
     std::vector<PreparedStage> stages;
 };
 
-/**
- * Flatten and decode one stage function and, on kJit, emit, compile
- * and load its artifact. JIT failures never throw; they are recorded in
- * the artifact.
- */
-PreparedStage prepareStage(const ir::Function& fn, TierMode tier);
+/** Flatten and decode one stage function. */
+PreparedStage prepareStage(const ir::Function& fn);
 
 /** prepareStage for every stage of `pipeline`. */
-PreparedPipeline preparePipeline(const ir::Pipeline& pipeline,
-                                 TierMode tier);
+PreparedPipeline preparePipeline(const ir::Pipeline& pipeline);
 
 class Runtime
 {
@@ -95,16 +81,15 @@ class Runtime
     }
 
     /**
-     * Execute a pipeline to completion on the task pool, on the tier
-     * RuntimeOptions::tier names. Mutates the bound arrays exactly as
-     * Machine::runPipeline would. On failure (deadlock monitor, worker
-     * exception) the returned stats have ok=false and the array
-     * contents are unspecified.
+     * Execute a pipeline to completion on the task pool. Mutates the
+     * bound arrays exactly as Machine::runPipeline would. On failure
+     * (deadlock monitor, worker exception) the returned stats have
+     * ok=false and the array contents are unspecified.
      *
      * `prepared` (null: prepare here, before the timed region) lets a
      * caller such as the compilation service prepare once and share
      * the result across runs; it must come from preparePipeline on
-     * this pipeline and this run's tier, and outlive the call.
+     * this pipeline and outlive the call.
      */
     NativeStats runPipeline(const ir::Pipeline& pipeline,
                             sim::Binding& binding,

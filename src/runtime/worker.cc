@@ -6,7 +6,6 @@
 #include "ir/op.h"
 #include "runtime/decode.h"
 #include "runtime/engine.h"
-#include "runtime/jit.h"
 #include "runtime/runtime.h"
 #include "runtime/sched.h"
 
@@ -21,25 +20,6 @@ namespace {
  * worker gets that long to answer before we pay a park.
  */
 constexpr int kSpinLimit = 256;
-
-/**
- * Run `body` on `ctx`, then record the values it drained but never
- * dequeued — also when the body throws (budget, bounds): the failure
- * post-mortem keys on residual occupancy.
- */
-template <typename Body>
-void
-runDraining(const StageContext& ctx, Body body,
-            std::vector<std::pair<int, uint64_t>>& unconsumed)
-{
-    try {
-        body();
-    } catch (...) {
-        unconsumed = ctx.unconsumed();
-        throw;
-    }
-    unconsumed = ctx.unconsumed();
-}
 
 } // namespace
 
@@ -185,12 +165,6 @@ StageWorker::StageWorker(std::string name, const PreparedStage& stage,
     stats.name = std::move(name);
     stats.isStage = true;
     stats.opCounts.assign(static_cast<size_t>(ir::kNumOpcodes), 0);
-    if (stage_.jit != nullptr) {
-        if (stage_.jit->ok())
-            jit_ = stage_.jit.get();
-        else
-            stats.jitFallback = stage_.jit->error;
-    }
 
     regs_.assign(static_cast<size_t>(stage_.program.numRegs), ir::Value{});
     const ir::Function& fn = *stage_.program.fn;
@@ -216,20 +190,21 @@ StageWorker::run()
     env.numReplicas = numReplicas_;
     stats.fusedSites = static_cast<uint64_t>(stage_.shape.fusedSites);
 
-    if (jit_ != nullptr) {
-        stats.tier = "jit";
-        JitHost host(stage_.program, env, queueOffset_);
-        runDraining(host, [&] { host.run(*jit_); }, unconsumed);
-    } else {
-        // Includes per-stage JIT fallback (stats.jitFallback says why).
-        // The shared shape is copied and re-based on this replica's
-        // queue window.
-        stats.tier = "engine";
-        DecodedProgram code = stage_.shape;
-        relocateProgram(code, queueOffset_, queues_);
-        Engine engine(code, env);
-        runDraining(engine, [&] { engine.run(); }, unconsumed);
+    // The shared shape is copied and re-based on this replica's queue
+    // window.
+    DecodedProgram code = stage_.shape;
+    relocateProgram(code, queueOffset_, queues_);
+    Engine engine(code, env);
+    // Record the values drained but never dequeued also when the run
+    // throws (budget, bounds): the failure post-mortem keys on residual
+    // occupancy.
+    try {
+        engine.run();
+    } catch (...) {
+        unconsumed = engine.unconsumed();
+        throw;
     }
+    unconsumed = engine.unconsumed();
     // Abnormal exits (budget, failed ops) throw past this point; they
     // already recorded the block span they died in.
     if (traceBuf) {

@@ -4,11 +4,11 @@
  * accelerator.
  *
  * A StageWorker runs one prepared stage (runtime.h) through the
- * pre-decoded engine (runtime/engine.h) or, on the JIT tier, its
- * compiled artifact (runtime/jit.h); both use the shared functional core
- * (sim/eval.h), so the native and simulated backends agree bit-for-bit.
- * Both execute on one StageContext: instruction accounting, blocking
- * ring ops with consumer-side batching, and the barrier wait. Queue ops
+ * pre-decoded engine (runtime/engine.h), which uses the shared
+ * functional core (sim/eval.h), so the native and simulated backends
+ * agree bit-for-bit. The engine executes on a StageContext: instruction
+ * accounting, blocking ring ops with consumer-side batching, and the
+ * barrier wait. Queue ops
  * block on the SPSC rings by spinning briefly, then parking the task on
  * the ring's waiter list (blockUntil, which RA workers use too); control
  * values arriving at a kDeq with a handler transfer to the handler pc
@@ -48,15 +48,8 @@ namespace phloem::rt {
  */
 constexpr uint64_t kHeartbeatInterval = 4096;
 
-/** Stage execution tier (see runtime/jit.h). */
-enum class TierMode : uint8_t {
-    kEngine,  ///< pre-decoded batching engine (the default)
-    kJit,     ///< per-stage compiled code, engine fallback on failure
-};
-
 class Scheduler;
 class SchedRun;
-struct JitArtifact;
 struct PreparedStage;
 
 /** Null-safe wake of every parked task in a run (runtime/sched.cc). */
@@ -73,12 +66,6 @@ struct RuntimeOptions
     int deadlockTimeoutMs = 10000;
     /** Per-worker dynamic instruction budget (runaway-loop backstop). */
     uint64_t maxInstructions = 4'000'000'000ull;
-    /**
-     * Stage execution tier. kJit compiles each stage program before the
-     * timed region and falls back per stage to the engine when
-     * emission/compilation/loading fails.
-     */
-    TierMode tier = TierMode::kEngine;
     /**
      * Stall-attribution tracer (trace.h), or null for no tracing. Must
      * outlive the run; the runtime registers one buffer per worker and
@@ -252,7 +239,7 @@ blockUntil(const ParkTarget& pt, RunControl& ctl, bool stoppable,
     return ok;
 }
 
-/** Borrowed per-stage state the engine and the JIT host execute on. */
+/** Borrowed per-stage state the engine executes on. */
 struct StageEnv
 {
     ir::Value* regs = nullptr;
@@ -268,8 +255,8 @@ struct StageEnv
 };
 
 /**
- * Everything an executing stage does besides computing, shared by the
- * engine and the JIT host: instruction accounting with the periodic
+ * Everything an executing stage does besides computing, the engine's
+ * base: instruction accounting with the periodic
  * abort / budget / yield poll, blocking push, pop and peek over the
  * rings, and the traced barrier wait.
  *
@@ -415,11 +402,7 @@ class StageContext
 class StageWorker
 {
   public:
-    /**
-     * `stage` is shared by every replica and must outlive the run; on
-     * kJit a stage whose artifact failed to build runs on the engine
-     * and records why in stats.jitFallback.
-     */
+    /** `stage` is shared by every replica and must outlive the run. */
     StageWorker(std::string name, const PreparedStage& stage,
                 sim::Binding& binding, int replica, int queue_offset,
                 int queue_stride, int num_replicas,
@@ -428,9 +411,6 @@ class StageWorker
 
     /** Task body: execute until halt, abort, or budget. */
     void run();
-
-    /** Runs compiled code (a loaded JIT artifact), not the engine. */
-    bool runsJit() const { return jit_ != nullptr; }
 
     WorkerStats stats;
 
@@ -447,8 +427,6 @@ class StageWorker
 
   private:
     const PreparedStage& stage_;
-    /** The stage's loaded artifact, or null to run the engine. */
-    const JitArtifact* jit_ = nullptr;
     int queueOffset_;
     int queueStride_;
     int numReplicas_;

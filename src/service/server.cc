@@ -433,11 +433,6 @@ Server::handleRun(const Request& req, double queueWaitNs)
     spec.opts.numStages = req.stages;
     spec.opts.maxRAs = opts_.cfg.maxRAs;
     spec.opts.maxQueues = opts_.cfg.maxQueues;
-    // Protocol tier -> runtime tier ("" and "engine" are the engine).
-    // "jit" makes the compile carry the per-stage .so, so cache hits
-    // skip JIT codegen too (the key includes it).
-    spec.tier =
-        req.tier == "jit" ? rt::TierMode::kJit : rt::TierMode::kEngine;
 
     std::string key = cacheKey(opts_.cfg, spec);
     driver::CompiledPipelinePtr cp;

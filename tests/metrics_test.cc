@@ -324,9 +324,13 @@ TEST(Metrics, DiffNeverGatesSchedulingNoise)
         oldRep.run("k").top.addCounter(name, 1775);
         newRep.run("k").top.addCounter(name, 214);
     }
+    // The pool's size is the host's core count: a baseline recorded on
+    // one machine must not flag another.
+    oldRep.run("k").top.setGauge("sched_pool_size", 1);
+    newRep.run("k").top.setGauge("sched_pool_size", 4);
     auto result = metrics::diffReports(oldRep, newRep, {});
     EXPECT_EQ(result.regressions, 0);
-    EXPECT_EQ(result.infoChanges, 5);
+    EXPECT_EQ(result.infoChanges, 6);
     // The pool's stealing flag is configuration, not noise.
     EXPECT_EQ(metrics::classifyMetric("k/sched_stealing", true).direction,
               metrics::Direction::kExact);

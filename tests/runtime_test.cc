@@ -702,7 +702,7 @@ TEST(NativeRuntime, HwCountsArithmetic)
     b.valid = true;
     b.cycles = 400;
     b.instructions = 500;
-    b.llcRefs = 150; // multiplexing jitter: later read smaller
+    b.llcRefs = 150; // multiplexing noise: later read smaller
 
     rt::HwCounts d = a.minus(b);
     EXPECT_TRUE(d.valid);
@@ -746,7 +746,6 @@ TEST(NativeRuntime, EngineMatchesSimulatorOnCompiledPipeline)
         rt::Runtime runtime;
         rt::NativeStats es = runtime.runPipeline(*res.pipeline, eb);
         ASSERT_TRUE(es.ok) << es.error;
-        EXPECT_EQ(es.tier, "engine");
 
         sim::Binding sb;
         setupFilter(sb);
@@ -788,190 +787,7 @@ TEST(NativeRuntime, EngineMatchesSimulatorOnCompiledPipeline)
 }
 
 // ---------------------------------------------------------------------
-// JIT execution tier.
-// ---------------------------------------------------------------------
-
-TEST(NativeRuntime, JitMatchesEngineOnCompiledPipeline)
-{
-    auto kernel = fe::compileKernel(kFilterKernel);
-    comp::CompileOptions copts;
-    copts.numStages = 4;
-    auto res = comp::compilePipeline(*kernel.fn, copts);
-    ASSERT_TRUE(res.ok());
-
-    rt::RuntimeOptions eo;
-    eo.tier = rt::TierMode::kEngine;
-    sim::Binding eb;
-    setupFilter(eb);
-    rt::Runtime engine_rt(sim::SysConfig{}, eo);
-    rt::NativeStats es = engine_rt.runPipeline(*res.pipeline, eb);
-    ASSERT_TRUE(es.ok) << es.error;
-    EXPECT_EQ(es.tier, "engine");
-
-    // The JIT runs share one preparation (what a service cache entry
-    // holds): two runs from it must both match the engine.
-    rt::RuntimeOptions jo;
-    jo.tier = rt::TierMode::kJit;
-    rt::Runtime jit_rt(sim::SysConfig{}, jo);
-    rt::PreparedPipeline prepared =
-        rt::preparePipeline(*res.pipeline, rt::TierMode::kJit);
-    for (int run = 0; run < 2; ++run) {
-        SCOPED_TRACE("run " + std::to_string(run));
-        sim::Binding jb;
-        setupFilter(jb);
-        rt::NativeStats js = jit_rt.runPipeline(*res.pipeline, jb,
-                                                &prepared);
-        ASSERT_TRUE(js.ok) << js.error;
-        EXPECT_EQ(js.tier, "jit");
-        EXPECT_GT(js.jitStages, 0) << js.jitError;
-        EXPECT_EQ(js.jitFallbacks, 0) << js.jitError;
-        EXPECT_GT(js.jitEmitNs, 0.0);
-        EXPECT_GT(js.jitCompileNs, 0.0);
-        EXPECT_GT(js.jitLoadNs, 0.0);
-
-        // Bit-identical memory and identical dynamic profiles: compiled
-        // code must retire exactly the instruction stream the engine
-        // does.
-        EXPECT_TRUE(jb.array("out")->contentEquals(*eb.array("out")));
-        EXPECT_EQ(js.totalInstructions(), es.totalInstructions());
-        EXPECT_EQ(js.totalBranches(), es.totalBranches());
-        EXPECT_EQ(js.totalOpCounts(), es.totalOpCounts());
-
-        for (const auto& w : js.workers) {
-            if (!w.isStage)
-                continue;
-            EXPECT_EQ(w.tier, "jit") << w.name;
-            EXPECT_TRUE(w.jitFallback.empty()) << w.name;
-            // Profile invariant holds for emitted code too.
-            uint64_t sum = w.branches;
-            for (uint64_t c : w.opCounts)
-                sum += c;
-            EXPECT_EQ(sum, w.instructions) << w.name;
-        }
-    }
-
-    // A preparation serves only the tier it was built for.
-    sim::Binding mb;
-    setupFilter(mb);
-    EXPECT_THROW(engine_rt.runPipeline(*res.pipeline, mb, &prepared),
-                 std::logic_error);
-}
-
-TEST(NativeRuntime, RunSerialHonorsExplicitTier)
-{
-    auto kernel = fe::compileKernel(kFilterKernel);
-    sim::Binding b;
-    setupFilter(b);
-    rt::RuntimeOptions opt;
-    opt.tier = rt::TierMode::kJit;
-    rt::Runtime r(sim::SysConfig{}, opt);
-    rt::NativeStats s = r.runSerial(*kernel.fn, b);
-    ASSERT_TRUE(s.ok) << s.error;
-    EXPECT_EQ(s.tier, "jit");
-}
-
-TEST(NativeRuntime, JitEmitterDenyFallsBackBitIdentical)
-{
-    // An op the emitter rejects downgrades just that stage to the
-    // engine; the run completes, reports the fallback, and stays
-    // bit-identical. kFilterKernel's phloem_work lowers to the "work"
-    // opcode, so denying it forces a real mid-pipeline fallback.
-    auto kernel = fe::compileKernel(kFilterKernel);
-    comp::CompileOptions copts;
-    copts.numStages = 4;
-    auto res = comp::compilePipeline(*kernel.fn, copts);
-    ASSERT_TRUE(res.ok());
-
-    sim::Binding eb;
-    setupFilter(eb);
-    rt::RuntimeOptions eo;
-    eo.tier = rt::TierMode::kEngine;
-    rt::Runtime engine_rt(sim::SysConfig{}, eo);
-    rt::NativeStats es = engine_rt.runPipeline(*res.pipeline, eb);
-    ASSERT_TRUE(es.ok) << es.error;
-
-    ::setenv("PHLOEM_JIT_DENY_OPS", "work", 1);
-    sim::Binding jb;
-    setupFilter(jb);
-    rt::RuntimeOptions jo;
-    jo.tier = rt::TierMode::kJit;
-    rt::Runtime jit_rt(sim::SysConfig{}, jo);
-    rt::NativeStats js = jit_rt.runPipeline(*res.pipeline, jb);
-    ::unsetenv("PHLOEM_JIT_DENY_OPS");
-
-    ASSERT_TRUE(js.ok) << js.error;
-    EXPECT_EQ(js.tier, "jit");
-    EXPECT_GE(js.jitFallbacks, 1);
-    EXPECT_NE(js.jitError.find("denied by PHLOEM_JIT_DENY_OPS"),
-              std::string::npos)
-        << js.jitError;
-    EXPECT_TRUE(jb.array("out")->contentEquals(*eb.array("out")));
-    EXPECT_EQ(js.totalInstructions(), es.totalInstructions());
-
-    // The downgraded stages report the engine; any stage without the
-    // denied op may still run compiled code.
-    int fallbacks = 0;
-    for (const auto& w : js.workers) {
-        if (!w.isStage)
-            continue;
-        if (!w.jitFallback.empty()) {
-            ++fallbacks;
-            EXPECT_EQ(w.tier, "engine") << w.name;
-        }
-    }
-    EXPECT_EQ(fallbacks, js.jitFallbacks);
-}
-
-TEST(NativeRuntime, JitToolchainFailuresSurfaceInStatsNotFatal)
-{
-    auto kernel = fe::compileKernel(kFilterKernel);
-    comp::CompileOptions copts;
-    copts.numStages = 4;
-    auto res = comp::compilePipeline(*kernel.fn, copts);
-    ASSERT_TRUE(res.ok());
-
-    sim::Binding eb;
-    setupFilter(eb);
-    rt::RuntimeOptions eo;
-    eo.tier = rt::TierMode::kEngine;
-    rt::Runtime engine_rt(sim::SysConfig{}, eo);
-    rt::NativeStats es = engine_rt.runPipeline(*res.pipeline, eb);
-    ASSERT_TRUE(es.ok) << es.error;
-
-    // Compiler failure: every stage falls back, the run still
-    // completes bit-identically, and the stats carry the error.
-    ::setenv("PHLOEM_JIT_CC", "/bin/false", 1);
-    sim::Binding cb;
-    setupFilter(cb);
-    rt::RuntimeOptions jo;
-    jo.tier = rt::TierMode::kJit;
-    rt::Runtime cc_rt(sim::SysConfig{}, jo);
-    rt::NativeStats cs = cc_rt.runPipeline(*res.pipeline, cb);
-    ASSERT_TRUE(cs.ok) << cs.error;
-    EXPECT_EQ(cs.jitStages, 0);
-    EXPECT_EQ(cs.jitFallbacks, cs.numStageThreads);
-    EXPECT_NE(cs.jitError.find("/bin/false failed"), std::string::npos)
-        << cs.jitError;
-    EXPECT_TRUE(cb.array("out")->contentEquals(*eb.array("out")));
-
-    // dlopen failure (the "compiler" succeeds but writes no .so):
-    // surfaced the same way, never fatal.
-    ::setenv("PHLOEM_JIT_CC", "/bin/true", 1);
-    sim::Binding db;
-    setupFilter(db);
-    rt::Runtime dl_rt(sim::SysConfig{}, jo);
-    rt::NativeStats ds = dl_rt.runPipeline(*res.pipeline, db);
-    ::unsetenv("PHLOEM_JIT_CC");
-    ASSERT_TRUE(ds.ok) << ds.error;
-    EXPECT_EQ(ds.jitStages, 0);
-    EXPECT_EQ(ds.jitFallbacks, ds.numStageThreads);
-    EXPECT_NE(ds.jitError.find("dlopen failed"), std::string::npos)
-        << ds.jitError;
-    EXPECT_TRUE(db.array("out")->contentEquals(*eb.array("out")));
-}
-
-// ---------------------------------------------------------------------
-// Failure paths: budget and bounds on both tiers.
+// Failure paths: budget and bounds.
 // ---------------------------------------------------------------------
 
 /** Never terminates on non-negative inputs: only the budget stops it. */
@@ -1016,12 +832,11 @@ setupFailKernel(sim::Binding& b)
     b.setScalarInt("n", kFailN);
 }
 
-TEST(NativeRuntime, BudgetAndBoundsFailuresReturnPromptlyOnBothTiers)
+TEST(NativeRuntime, BudgetAndBoundsFailuresReturnPromptly)
 {
     // A runaway stage must stop at its instruction budget and an
     // out-of-bounds store must fail its stage; either way every peer
-    // unwinds at once (not when the deadlock monitor fires), on the
-    // engine and through the JIT's exception-capturing callbacks.
+    // unwinds at once (not when the deadlock monitor fires).
     struct Case
     {
         const char* source;
@@ -1040,33 +855,28 @@ TEST(NativeRuntime, BudgetAndBoundsFailuresReturnPromptlyOnBothTiers)
         auto res = comp::compilePipeline(*kernel.fn, copts);
         ASSERT_TRUE(res.ok());
         ASSERT_GE(res.pipeline->stages.size(), 2u);
-        for (rt::TierMode tier : {rt::TierMode::kEngine, rt::TierMode::kJit}) {
-            rt::RuntimeOptions opt;
-            opt.tier = tier;
-            opt.maxInstructions = c.budget;
-            opt.deadlockTimeoutMs = 60000;
-            rt::Runtime runtime(sim::SysConfig{}, opt);
-            for (bool serial : {true, false}) {
-                SCOPED_TRACE(kernel.fn->name +
-                             (tier == rt::TierMode::kJit ? " jit" : " engine") +
-                             (serial ? " serial" : " pipeline"));
-                sim::Binding b;
-                setupFailKernel(b);
-                auto t0 = std::chrono::steady_clock::now();
-                rt::NativeStats st =
-                    serial ? runtime.runSerial(*kernel.fn, b)
-                           : runtime.runPipeline(*res.pipeline, b);
-                double secs = std::chrono::duration<double>(
-                                  std::chrono::steady_clock::now() - t0)
-                                  .count();
-                EXPECT_FALSE(st.ok);
-                EXPECT_NE(st.error.find(c.want), std::string::npos)
-                    << st.error;
-                EXPECT_EQ(st.error.find("deadlock"), std::string::npos)
-                    << st.error;
-                EXPECT_EQ(st.jitFallbacks, 0) << st.jitError;
-                EXPECT_LT(secs, 30.0);
-            }
+        rt::RuntimeOptions opt;
+        opt.maxInstructions = c.budget;
+        opt.deadlockTimeoutMs = 60000;
+        rt::Runtime runtime(sim::SysConfig{}, opt);
+        for (bool serial : {true, false}) {
+            SCOPED_TRACE(kernel.fn->name +
+                         (serial ? " serial" : " pipeline"));
+            sim::Binding b;
+            setupFailKernel(b);
+            auto t0 = std::chrono::steady_clock::now();
+            rt::NativeStats st = serial
+                                     ? runtime.runSerial(*kernel.fn, b)
+                                     : runtime.runPipeline(*res.pipeline, b);
+            double secs = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
+            EXPECT_FALSE(st.ok);
+            EXPECT_NE(st.error.find(c.want), std::string::npos)
+                << st.error;
+            EXPECT_EQ(st.error.find("deadlock"), std::string::npos)
+                << st.error;
+            EXPECT_LT(secs, 30.0);
         }
     }
 }
@@ -1412,8 +1222,7 @@ TEST(NativeRuntime, SchedulerTwoConcurrentPipelinesShareOnePool)
     rt::Scheduler pool(sopt);
 
     // Both runs share one preparation, as cached service entries do.
-    rt::PreparedPipeline prepared =
-        rt::preparePipeline(*res.pipeline, rt::TierMode::kEngine);
+    rt::PreparedPipeline prepared = rt::preparePipeline(*res.pipeline);
     constexpr int kRuns = 2;
     sim::Binding bindings[kRuns];
     rt::NativeStats stats[kRuns];

@@ -30,7 +30,6 @@
 #include "driver/compile_service.h"
 #include "metrics/json.h"
 #include "metrics/metrics.h"
-#include "runtime/jit.h"
 #include "service/cache.h"
 #include "service/client.h"
 #include "service/protocol.h"
@@ -76,10 +75,7 @@ specFor(const char* source)
     return spec;
 }
 
-/**
- * Native-run a compiled pipeline on the tier it was prepared for,
- * returning the output-image hash.
- */
+/** Native-run a compiled pipeline, returning the output-image hash. */
 uint64_t
 runForHash(const driver::CompiledPipeline& cp, int64_t size)
 {
@@ -113,6 +109,13 @@ TEST(ServiceCache, CacheHitIsBitIdenticalToColdCompile)
     ASSERT_NE(cold, nullptr) << err;
     ASSERT_TRUE(cold->ok()) << cold->error;
     EXPECT_FALSE(hit);
+    // The entry carries every stage prepared, so a hit skips flatten
+    // and decode: one decoded shape (program + kEnd sentinel) per
+    // pipeline stage.
+    ASSERT_EQ(cold->prepared.stages.size(),
+              cold->compiled.pipeline->stages.size());
+    for (const rt::PreparedStage& stage : cold->prepared.stages)
+        EXPECT_EQ(stage.shape.code.size(), stage.program.code.size() + 1);
 
     // Hit: must be the same object — no second compile happened.
     auto cached = cache.getOrCompile(
@@ -212,50 +215,6 @@ TEST(ServiceCache, KeyDependsOnSourceAndOptions)
     EXPECT_NE(svc::cacheKey(cfg, a), svc::cacheKey(cfg, c));
 }
 
-TEST(ServiceCache, JitTierEntriesCarryArtifactsUnderTheirOwnKey)
-{
-    // A kJit compile prebuilds decoded shapes AND native stage
-    // artifacts into the cache entry — a hit skips decode and codegen
-    // entirely. The tier is part of the key, so a jit entry (which
-    // carries dlopen'd .so handles) is never served to a default-tier
-    // request, and vice versa.
-    driver::CompileSpec plain = specFor(kStream);
-    driver::CompileSpec jit = specFor(kStream);
-    jit.tier = rt::TierMode::kJit;
-    sim::SysConfig cfg = sim::SysConfig::scaledEval();
-    EXPECT_NE(svc::cacheKey(cfg, plain), svc::cacheKey(cfg, jit));
-
-    std::string err;
-    auto cp = driver::compileSource(jit, &err);
-    ASSERT_NE(cp, nullptr) << err;
-    ASSERT_TRUE(cp->ok()) << cp->error;
-    const rt::PreparedPipeline& prep = cp->prepared;
-    EXPECT_EQ(prep.tier, rt::TierMode::kJit);
-    ASSERT_EQ(prep.stages.size(), cp->compiled.pipeline->stages.size());
-    int compiled = 0;
-    for (const rt::PreparedStage& stage : prep.stages) {
-        // Every stage carries its decoded shape (program + kEnd
-        // sentinel) and an artifact, failed builds included.
-        ASSERT_EQ(stage.shape.code.size(), stage.program.code.size() + 1);
-        ASSERT_NE(stage.jit, nullptr);
-        if (stage.jit->ok())
-            ++compiled;
-    }
-    EXPECT_GT(compiled, 0) << "no stage JIT-compiled: "
-                           << prep.stages[0].jit->error;
-
-    // Differential oracle across tiers: the prebuilt-artifact run must
-    // be bit-identical to a plain engine-tier compile+run.
-    auto ep = driver::compileSource(plain, &err);
-    ASSERT_NE(ep, nullptr) << err;
-    ASSERT_TRUE(ep->ok()) << ep->error;
-    EXPECT_EQ(ep->prepared.tier, rt::TierMode::kEngine);
-    ASSERT_EQ(ep->prepared.stages.size(), prep.stages.size());
-    for (const rt::PreparedStage& stage : ep->prepared.stages)
-        EXPECT_EQ(stage.jit, nullptr) << "default tier must not pay codegen";
-    EXPECT_EQ(runForHash(*cp, 512), runForHash(*ep, 512));
-}
-
 TEST(ServiceCache, SingleFlightCompilesOnceUnderContention)
 {
     driver::CompileSpec spec = specFor(kStream);
@@ -305,7 +264,6 @@ TEST(ServiceProtocol, RequestRoundTripsThroughJson)
     req.size = 1000;
     req.timeoutMs = 1234;
     req.noCache = true;
-    req.tier = "jit";
 
     svc::Request back;
     std::string err;
@@ -317,7 +275,6 @@ TEST(ServiceProtocol, RequestRoundTripsThroughJson)
     EXPECT_EQ(back.size, 1000);
     EXPECT_EQ(back.timeoutMs, 1234);
     EXPECT_TRUE(back.noCache);
-    EXPECT_EQ(back.tier, "jit");
 }
 
 TEST(ServiceProtocol, RejectsMalformedRequests)
@@ -344,18 +301,6 @@ TEST(ServiceProtocol, RejectsMalformedRequests)
             << field;
         EXPECT_NE(err.find("out of range"), std::string::npos)
             << field << ": " << err;
-    }
-    // An unrecognized tier is a protocol error, not a silent default;
-    // so are the spellings of the removed interpreter tier.
-    for (const char* tier : {"turbo", "interp", "interpreter"}) {
-        err.clear();
-        EXPECT_FALSE(svc::Request::fromJson(
-            std::string(R"({"op":"run","source":"x","tier":")") + tier +
-                R"("})",
-            &req, &err))
-            << tier;
-        EXPECT_NE(err.find("tier must be"), std::string::npos)
-            << tier << ": " << err;
     }
 }
 
@@ -540,52 +485,6 @@ TEST(ServiceServer, ServesColdThenHitWithIdenticalOutput)
     EXPECT_EQ(srun->top.counters.at("cache_hits"), 1u);
     EXPECT_EQ(srun->top.counters.at("cache_misses"), 1u);
     EXPECT_GE(srun->top.counters.at("requests_served"), 4u);
-
-    server.stop();
-}
-
-TEST(ServiceServer, JitTierRequestsHitTheirOwnCacheEntryBitIdentically)
-{
-    svc::ServerOptions opts;
-    opts.socketPath = testSocketPath("jit");
-    opts.workers = 2;
-    opts.cacheCapacity = 8;
-    svc::Server server(opts);
-    std::string err;
-    ASSERT_TRUE(server.start(&err)) << err;
-
-    svc::Client client;
-    ASSERT_TRUE(client.connect(opts.socketPath, &err)) << err;
-
-    // Default-tier run first: seeds the non-jit cache entry.
-    svc::Request run;
-    run.op = "run";
-    run.source = kStream;
-    run.size = 256;
-    svc::Response plain;
-    ASSERT_TRUE(client.call(run, &plain, &err)) << err;
-    ASSERT_TRUE(plain.ok) << plain.error;
-    EXPECT_EQ(plain.cache, "miss");
-
-    // Same source with tier=jit keys a distinct entry (the jit entry
-    // carries .so artifacts, so it must never alias the default one)...
-    run.tier = "jit";
-    svc::Response cold;
-    ASSERT_TRUE(client.call(run, &cold, &err)) << err;
-    ASSERT_TRUE(cold.ok) << cold.error;
-    EXPECT_EQ(cold.cache, "miss")
-        << "jit tier must not alias the default-tier cache entry";
-    EXPECT_EQ(cold.outputHash, plain.outputHash)
-        << "jit run must be bit-identical to the default tier";
-
-    // ...and the second jit request is a hit: no recompile, no
-    // re-codegen, same image.
-    svc::Response hot;
-    ASSERT_TRUE(client.call(run, &hot, &err)) << err;
-    ASSERT_TRUE(hot.ok) << hot.error;
-    EXPECT_EQ(hot.cache, "hit");
-    EXPECT_EQ(hot.compileNs, 0.0) << "jit hits must not pay codegen";
-    EXPECT_EQ(hot.outputHash, cold.outputHash);
 
     server.stop();
 }
